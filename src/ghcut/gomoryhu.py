@@ -12,17 +12,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import Graph, GraphFormatError, connected_components
-from .maxflow import max_flow
+from .maxflow import attach_network, max_flow
 
 
 class GomoryHuTree:
     """Rooted spanning tree over vertex ids 0..n-1 with weighted edges.
 
     Vertex 0 is the root; every other vertex stores its parent and the
-    weight of the edge to it.  parent[0] is -1 by convention.
+    weight of the edge to it.  parent[0] is -1 by convention.  depth[v] is
+    the number of edges from v up to the root.
     """
 
-    __slots__ = ("parent", "weight")
+    __slots__ = ("parent", "weight", "depth")
 
     def __init__(self, parent: Sequence[int], weight: Sequence[int]):
         parent = tuple(parent)
@@ -52,6 +53,7 @@ class GomoryHuTree:
                 depth[x] = depth[u] + i + 1
         self.parent = parent
         self.weight = weight
+        self.depth = tuple(depth)
 
     @property
     def n(self) -> int:
@@ -68,26 +70,23 @@ class GomoryHuTree:
             raise ValueError(f"vertex out of range: ({a}, {b}) with n={self.n}")
         if a == b:
             raise ValueError("query endpoints must differ")
-        seen = {}
-        u = a
-        while u != 0:
-            seen[u] = True
-            u = self.parent[u]
-        seen[0] = True
-        # climb from b to the first common ancestor, then finish a's side
+        parent, weight, depth = self.parent, self.weight, self.depth
+        if depth[a] < depth[b]:
+            a, b = b, a
+        # lift the deeper endpoint to b's depth, then climb both to the
+        # common ancestor
         best = None
-        u = b
-        while u not in seen:
-            w = self.weight[u]
-            best = w if best is None or w < best else best
-            u = self.parent[u]
-        stop = u
-        u = a
-        while u != stop:
-            w = self.weight[u]
-            best = w if best is None or w < best else best
-            u = self.parent[u]
-        assert best is not None
+        while depth[a] > depth[b]:
+            w = weight[a]
+            if best is None or w < best:
+                best = w
+            a = parent[a]
+        while a != b:
+            w = min(weight[a], weight[b])
+            if best is None or w < best:
+                best = w
+            a = parent[a]
+            b = parent[b]
         return best
 
     def __eq__(self, other: object) -> bool:
@@ -110,7 +109,8 @@ def build_gusfield(g: Graph) -> GomoryHuTree:
     Every vertex i >= 1 starts parented at 0; step i computes the minimum
     (i, parent)-cut, re-parents later siblings that fall on i's side, and
     when the grandparent falls on i's side as well, i takes its parent's
-    place in the tree.  Disconnected graphs are rejected.
+    place in the tree.  Disconnected graphs are rejected.  The graph's
+    residual network is built once and stays attached to `g`.
     """
     n = g.n
     if n < 2:
@@ -120,15 +120,16 @@ def build_gusfield(g: Graph) -> GomoryHuTree:
     parent = [0] * n
     parent[0] = -1
     weight = [0] * n
+    attach_network(g)
     for i in range(1, n):
         t = parent[i]
         res = max_flow(g, i, t)
-        source_side = frozenset(range(n)) - res.mincut.side  # contains i
+        sink_side = res.mincut.side  # contains t, not i
         weight[i] = res.value
         for j in range(i + 1, n):
-            if parent[j] == t and j in source_side:
+            if parent[j] == t and j not in sink_side:
                 parent[j] = i
-        if t != 0 and parent[t] in source_side:
+        if t != 0 and parent[t] not in sink_side:
             parent[i] = parent[t]
             parent[t] = i
             weight[i] = weight[t]
@@ -150,10 +151,12 @@ def verify_gomory_hu(g: Graph, tree: GomoryHuTree) -> GHViolation | None:
     """Exhaustively check the tree against one max-flow per vertex pair.
 
     Returns None when every pair agrees, else the first violation in
-    lexicographic pair order.
+    lexicographic pair order.  Like `build_gusfield`, it leaves the graph's
+    residual network attached to `g`.
     """
     if tree.n != g.n:
         raise ValueError(f"tree has {tree.n} vertices but graph has {g.n}")
+    attach_network(g)
     for a in range(g.n):
         for b in range(a + 1, g.n):
             tv = tree.query(a, b)

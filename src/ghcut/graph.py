@@ -34,9 +34,14 @@ class GraphFormatError(ValueError):
 
 
 class Graph:
-    """Immutable weighted undirected graph."""
+    """Immutable weighted undirected graph.
 
-    __slots__ = ("n", "edges", "_adj")
+    `_adj`, `_hash` and `_net` are caches filled on first use; `_net` holds
+    the residual network that `maxflow.attach_network` builds for callers
+    that run many flows on one graph.
+    """
+
+    __slots__ = ("n", "edges", "_adj", "_hash", "_net")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         if n < 1:
@@ -58,6 +63,8 @@ class Graph:
             sorted((u, v, w) for (u, v), w in merged.items())
         )
         self._adj: tuple[tuple[tuple[int, int], ...], ...] | None = None
+        self._hash: int | None = None
+        self._net = None
 
     @classmethod
     def _from_merged(cls, n: int, merged: dict[tuple[int, int], int]) -> "Graph":
@@ -67,6 +74,8 @@ class Graph:
         g.n = n
         g.edges = tuple(sorted((u, v, w) for (u, v), w in merged.items()))
         g._adj = None
+        g._hash = None
+        g._net = None
         return g
 
     @property
@@ -98,7 +107,10 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.n, self.edges))
+        return h
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

@@ -95,6 +95,28 @@ def test_query_agrees_with_path_walk():
                 assert tree.query(a, b) == path_min_edge(tree, a, b)
 
 
+def test_query_on_deep_path_tree():
+    # a path-shaped tree with its root in the middle: depths up to ~500 and
+    # common ancestors at every height
+    n = 1001
+    rng = random.Random("deep-path")
+    order = list(range(1, n))
+    rng.shuffle(order)
+    parent = [-1] * n
+    weight = [0] * n
+    for half in (order[: n // 2], order[n // 2 :]):
+        prev = 0
+        for v in half:
+            parent[v] = prev
+            weight[v] = rng.randint(1, 10**6)
+            prev = v
+    tree = GomoryHuTree(parent, weight)
+    assert max(tree.depth) == n // 2
+    for _ in range(300):
+        a, b = rng.sample(range(n), 2)
+        assert tree.query(a, b) == path_min_edge(tree, a, b)
+
+
 def test_query_rejects_bad_pairs():
     tree = build_gusfield(Graph(3, [(0, 1, 2), (1, 2, 3)]))
     with pytest.raises(ValueError):

@@ -67,6 +67,16 @@ def test_graph_equality_and_hash():
     assert a != Graph(3, [(0, 1, 2)])
 
 
+def test_contracted_graph_hashes_like_fresh_graph():
+    g = Graph(5, [(0, 1, 2), (0, 2, 3), (1, 2, 4), (2, 3, 1), (3, 4, 6)])
+    q, _ = contract(g, [[0, 1], [3, 4]])
+    fresh = Graph(3, [(0, 1, 7), (1, 2, 1)])
+    assert q == fresh and hash(q) == hash(fresh)
+    # the second call on each side reads the cached value
+    assert hash(q) == hash(fresh)
+    assert {fresh: "x"}[q] == "x"
+
+
 def test_cut_value_path():
     g = Graph(3, [(0, 1, 3), (1, 2, 5)])
     assert cut_value(g, {0}) == 3

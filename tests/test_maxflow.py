@@ -1,11 +1,15 @@
 """Max-flow against the exhaustive oracle, including cut side semantics."""
 import random
+import sys
+import threading
 
 import pytest
 
 from ghcut import (
     Graph,
+    attach_network,
     brute_min_cut,
+    build_gusfield,
     contract,
     cut_value,
     generate,
@@ -115,3 +119,69 @@ def test_multi_rejects_source_in_sinks():
         max_flow_multi(g, 1, [1, 2])
     with pytest.raises(ValueError):
         max_flow_multi(g, 0, [])
+
+
+def test_attached_network_reused_across_pairs():
+    # one network serves every ordered pair, twice, in shuffled order; each
+    # answer must match a fresh graph (no attached network) and the oracle
+    rng = random.Random("flow-reuse")
+    for inst in range(8):
+        n = rng.randint(4, 10) if inst < 6 else 24
+        g = generate(rng.choice(["erdos-renyi-weighted", "clique", "planted-cut"]), n, seed=900 + inst)
+        attach_network(g)
+        pairs = [(s, t) for s in range(n) for t in range(n) if s != t] * 2
+        rng.shuffle(pairs)
+        for s, t in pairs:
+            res = max_flow(g, s, t)
+            ref = max_flow(Graph(n, g.edges), s, t)
+            assert res == ref
+            if n <= 10:
+                ans = brute_min_cut(g, s, t)
+                assert res.value == ans.value
+                assert res.mincut.side == ans.maximal_side()
+
+
+def test_attaching_network_keeps_identity():
+    g = generate("erdos-renyi-weighted", 12, seed=3)
+    twin = Graph(g.n, g.edges)
+    before = (hash(g), repr(g))
+    net = attach_network(g)
+    assert attach_network(g) is net
+    assert g == twin and twin == g
+    assert (hash(g), repr(g)) == before == (hash(twin), repr(twin))
+    assert {twin: 1}[g] == 1
+
+
+def test_shared_network_under_threads():
+    # four threads share one graph and its network; a solve that wrote into
+    # the shared capacities would corrupt other threads' answers
+    g = generate("erdos-renyi-weighted", 30, seed=11)
+    pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t][::7]
+    serial_tree = build_gusfield(Graph(g.n, g.edges))
+    serial_flows = [max_flow(Graph(g.n, g.edges), s, t) for s, t in pairs]
+    results: list = [None] * 4
+    errors: list = []
+
+    def work(i):
+        try:
+            if i % 2:
+                results[i] = build_gusfield(g)
+            else:
+                results[i] = [max_flow(g, s, t) for s, t in pairs]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+    assert results[1] == results[3] == serial_tree
+    assert results[0] == results[2] == serial_flows
