@@ -80,7 +80,8 @@ class RecursionStats:
 
     Tracks call count, instance vertices, tree sizes, and live edges (edges
     whose endpoints are both ordinary vertices rather than contracted
-    supernodes); every call records itself on entry, including k = 0.
+    supernodes); when stats are passed, every call records itself on entry,
+    including k = 0.
     """
 
     __slots__ = ("rows",)
@@ -127,36 +128,19 @@ _CACHE_MAX_N = 64
 @dataclass(frozen=True)
 class _Cfg:
     reps_coeff: float
+    stats: RecursionStats | None
     cache: dict = field(default_factory=dict)
 
 
-def _flow_cached(cfg: _Cfg, g: Graph, s: int, t: int):
+def _cached(cfg: _Cfg, fn, g: Graph, *args):
+    """`fn(g, *args)`, memoised per top-level run on graphs up to the cutoff;
+    the arguments must be hashable."""
     if g.n > _CACHE_MAX_N:
-        return max_flow(g, s, t)
-    key = (g, s, t)
+        return fn(g, *args)
+    key = (fn, g, *args)
     res = cfg.cache.get(key)
     if res is None:
-        res = cfg.cache[key] = max_flow(g, s, t)
-    return res
-
-
-def _multi_cached(cfg: _Cfg, g: Graph, s: int, sinks: Sequence[int]):
-    if g.n > _CACHE_MAX_N:
-        return max_flow_multi(g, s, sinks)
-    key = (g, s, tuple(sinks))
-    res = cfg.cache.get(key)
-    if res is None:
-        res = cfg.cache[key] = max_flow_multi(g, s, sinks)
-    return res
-
-
-def _iso_cached(cfg: _Cfg, g: Graph, groups: Sequence[frozenset[int]]):
-    if g.n > _CACHE_MAX_N:
-        return isolating_cuts(g, groups)
-    key = (g, tuple(groups))
-    res = cfg.cache.get(key)
-    if res is None:
-        res = cfg.cache[key] = isolating_cuts(g, groups)
+        res = cfg.cache[key] = fn(g, *args)
     return res
 
 
@@ -166,73 +150,114 @@ def _seed_string(rng: random.Random | int | str) -> str:
     return f"s{rng}"
 
 
-def _rounds(cfg: _Cfg, n: int) -> int:
-    return max(1, math.ceil(cfg.reps_coeff * math.log2(max(2, n))))
-
-
 def _live_edges(g: Graph, contracted: frozenset[int]) -> int:
     if not contracted:
         return g.m
     return sum(1 for u, v, _ in g.edges if u not in contracted and v not in contracted)
 
 
-def _child_contracted(cm: ContractionMap, contracted: frozenset[int]) -> frozenset[int]:
-    return frozenset(cm.forward[v] for v in contracted) | cm.contracted_nodes
+def _enter(procedure: str, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts,
+           cfg: _Cfg, contracted: frozenset[int]) -> bool:
+    """Shared prologue of both recursions: record the call when stats are
+    kept, and settle the instance outright when the budget is spent or the
+    tree is small (one exact flow per terminal).  True when the caller must
+    go on and split the tree."""
+    if cfg.stats is not None:
+        cfg.stats.record(procedure, k, g.n, tree.size, _live_edges(g, contracted))
+    if k == 0:
+        return False
+    if tree.size <= BASE_TREE_SIZE:
+        s = tree.source
+        for t in tree.vertices:
+            if t != s:
+                res = _cached(cfg, max_flow, g, s, t)
+                cuts.offer(t, res.value, res.mincut)
+        return False
+    return True
 
 
-def _base_case(g: Graph, tree: SteinerTree, cuts: CandidateCuts,
-               cfg: _Cfg) -> None:
-    s = tree.source
-    for t in tree.vertices:
-        if t != s:
-            res = _flow_cached(cfg, g, s, t)
-            cuts.offer(t, res.value, res.mincut)
-
-
-def _subtree(tree: SteinerTree, verts: Iterable[int], source: int,
+def _subtree(tree: SteinerTree, verts: Iterable[int],
              extra_edges: Sequence[tuple[int, int]] = ()) -> SteinerTree:
-    """Subtree induced on `verts` (which must include `source`), plus any
+    """Subtree induced on `verts` (which must include the source), plus any
     explicitly added edges."""
     vset = set(verts)
     edges = [(u, v) for u, v in tree.edges if u in vset and v in vset]
     edges.extend(extra_edges)
-    return SteinerTree(vset, edges, source)
+    return SteinerTree(vset, edges, tree.source)
 
 
-def _mapped_subtree(tree: SteinerTree, part: Iterable[int], attach: int,
-                    cm: ContractionMap) -> SteinerTree:
-    """Child tree for a contracted instance: the subtree induced on
-    part plus its attachment vertex, with ids mapped through `cm` and the
-    attachment's image (the supernode) as the new source."""
-    keep = set(part)
-    keep.add(attach)
-    verts = {cm.forward[v] for v in keep}
-    edges = [(cm.forward[u], cm.forward[v]) for u, v in tree.edges if u in keep and v in keep]
-    return SteinerTree(verts, edges, cm.forward[attach])
+def _source_edge(tree: SteinerTree, c: int) -> tuple[tuple[int, int], ...]:
+    """The edge reattaching the source at `c`, unless the tree has it."""
+    s = tree.source
+    sc = (s, c) if s < c else (c, s)
+    return () if sc in tree.edges else (sc,)
 
 
-def _fresh_view(child_tree: SteinerTree, cuts: CandidateCuts) -> CandidateCuts:
-    return CandidateCuts(
-        (v for v in child_tree.vertices if v != child_tree.source),
-        cuts.track_witnesses,
-    )
+def _prune_rounds(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts,
+                  seed: str, cfg: _Cfg, contracted: frozenset[int],
+                  parts: Sequence[frozenset[int]]) -> None:
+    """Random pruning lowers the budget: any cut whose extra tree crossings
+    sit inside pruned parts is caught by a k-1 call on the thinned tree."""
+    rounds = max(1, math.ceil(cfg.reps_coeff * math.log2(max(2, g.n)))) if parts else 1
+    for r in range(rounds):
+        coin = random.Random(f"{seed}/p{r}#coins")
+        pruned = prune_sample(tree, parts, coin)
+        rec(g, pruned, k - 1, cuts, f"{seed}/p{r}", cfg, contracted)
+
+
+def _isolate(cfg: _Cfg, g: Graph, s: int, groups: Sequence[frozenset[int]],
+             cuts: CandidateCuts):
+    """Isolating cuts of `groups`; each side is itself a cut separating its
+    group from s, so it is offered to every terminal of the group."""
+    iso = _cached(cfg, isolating_cuts, g, tuple(groups))
+    for gc in iso:
+        if s not in gc.group:
+            for t in sorted(gc.group):
+                cuts.offer(t, gc.value, gc.as_cut())
+    return iso
+
+
+def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
+           cfg: _Cfg, contracted: frozenset[int], merge: Iterable[int],
+           keep: set[int], pivot: int,
+           extra: Sequence[tuple[int, int]] = ()) -> None:
+    """Recurse at budget k on `g` with `merge` contracted to one node.
+
+    The child tree is the subtree induced on `keep`, plus the `extra`
+    edges, mapped to quotient ids, with the source's image as its source.
+    Results are lifted back into `cuts`; the node holding `pivot` reports
+    as `pivot`, so a supernode that stands in for a real vertex keeps its
+    identity.
+    """
+    child_g, cm = contract(g, [merge])
+    f = cm.forward
+    edges = [(f[u], f[v]) for u, v in tree.edges if u in keep and v in keep]
+    edges.extend((f[u], f[v]) for u, v in extra)
+    child_tree = SteinerTree({f[v] for v in keep}, edges, f[tree.source])
+    view = CandidateCuts((v for v in child_tree.vertices if v != child_tree.source),
+                         cuts.track_witnesses)
+    # supernodes are only needed to count live edges
+    if cfg.stats is not None:
+        contracted = frozenset(f[v] for v in contracted) | cm.contracted_nodes
+    rec(child_g, child_tree, k, view, seed, cfg, contracted)
+    _merge_child(cuts, view, cm, pivot)
 
 
 def _merge_child(cuts: CandidateCuts, child: CandidateCuts, cm: ContractionMap,
-                 remap: Mapping[int, int] | None = None) -> None:
+                 pivot: int) -> None:
     """Lift a contracted child's results into the parent table.
 
     A child terminal that is the image of a single original vertex lands on
-    that vertex; `remap` overrides the target for supernode terminals that
-    carry a real vertex's identity, and any other supernode result is
-    dropped.
+    that vertex, and the image of `pivot` lands on `pivot`; any other
+    supernode result is dropped.
     """
     pre = cm.preimage_lists()
+    q_pivot = cm.forward[pivot]
     for q, val in child.values.items():
         if val == math.inf:
             continue
-        if remap is not None and q in remap:
-            target = remap[q]
+        if q == q_pivot:
+            target = pivot
         elif len(pre[q]) == 1:
             target = pre[q][0]
         else:
@@ -266,12 +291,11 @@ def tree_mincuts(
     probability it is at most the cheapest such cut crossing at most k tree
     edges.  `reps_coeff` scales the number of random pruning repetitions
     per level; `stats`, when given, accumulates per-level call totals.
+    With `stats=None` no per-call bookkeeping is done.
     """
     _validate(g, tree, k)
     cuts.ensure(v for v in tree.vertices if v != tree.source)
-    if stats is None:
-        stats = RecursionStats()
-    _tree_rec(g, tree, k, cuts, _seed_string(rng), stats, _Cfg(reps_coeff), frozenset())
+    _tree_rec(g, tree, k, cuts, _seed_string(rng), _Cfg(reps_coeff, stats), frozenset())
 
 
 def leaf_mincuts(
@@ -289,14 +313,13 @@ def leaf_mincuts(
     Only cuts crossing the source's single tree edge are targeted: with
     high probability each terminal's value is at most the cheapest cut that
     crosses at most k tree edges, one of them being the source's edge.
+    As there, `stats=None` does no per-call bookkeeping.
     """
     _validate(g, tree, k)
     if tree.degree(tree.source) != 1:
         raise ValueError("the leaf variant needs the source to be a tree leaf")
     cuts.ensure(v for v in tree.vertices if v != tree.source)
-    if stats is None:
-        stats = RecursionStats()
-    _leaf_rec(g, tree, k, cuts, _seed_string(rng), stats, _Cfg(reps_coeff), frozenset())
+    _leaf_rec(g, tree, k, cuts, _seed_string(rng), _Cfg(reps_coeff, stats), frozenset())
 
 
 def _tree_rec(
@@ -305,118 +328,76 @@ def _tree_rec(
     k: int,
     cuts: CandidateCuts,
     seed: str,
-    stats: RecursionStats,
     cfg: _Cfg,
     contracted: frozenset[int],
 ) -> None:
-    stats.record("tree", k, g.n, tree.size, _live_edges(g, contracted))
-    if k == 0:
-        return
-    if tree.size <= BASE_TREE_SIZE:
-        _base_case(g, tree, cuts, cfg)
+    if not _enter("tree", g, tree, k, cuts, cfg, contracted):
         return
 
     s = tree.source
     dec = decompose(tree)
     c = dec.centroid
-    parts: list[frozenset[int]] = []
-    if dec.forest:
-        parts.append(dec.forest)
-    parts.extend(dec.side_trees)
+    sides = dec.side_trees
+    trunk_inner = dec.trunk - {c}
 
-    # Random pruning lowers the budget: any cut whose extra tree crossings
-    # sit inside pruned parts is caught by a k-1 call on the thinned tree.
-    # At budget 1 those calls would be no-ops, so skip the rounds outright.
+    # At budget 1 the pruned calls would be no-ops, so skip them outright.
     if k > 1:
-        rounds = _rounds(cfg, g.n) if parts else 1
-        for r in range(rounds):
-            coin = random.Random(f"{seed}/p{r}#coins")
-            pruned = prune_sample(tree, parts, coin)
-            _tree_rec(g, pruned, k - 1, cuts, f"{seed}/p{r}", stats, cfg,
-                      contracted)
+        parts = ([dec.forest] if dec.forest else []) + list(sides)
+        _prune_rounds(_tree_rec, g, tree, k, cuts, seed, cfg, contracted, parts)
 
         # The source-side forest on its own, one budget lower.
         if dec.forest:
-            t2 = _subtree(tree, dec.forest | {s}, s)
-            _tree_rec(g, t2, k - 1, cuts, f"{seed}/f", stats, cfg, contracted)
+            t2 = _subtree(tree, dec.forest | {s})
+            _tree_rec(g, t2, k - 1, cuts, f"{seed}/f", cfg, contracted)
 
     # Isolating cuts split the rest of the work into disjoint contracted
-    # children, each recursed at the same budget: one child per tree part,
-    # with everything outside that part's isolating side merged into the
-    # child's new source.
-    trunk_inner = dec.trunk - {c}
+    # children, each recursed at the same budget: one child per side tree,
+    # with everything outside that tree's isolating side merged into the
+    # child's new source.  These children pin the centroid to the source
+    # supernode, which is wrong for cuts that keep the centroid with the
+    # terminal.  Side trees only ever need the pinned version (a cut
+    # claiming the centroid would cross their root edge and pruning owns
+    # that case); the trunk and the forest instead go to the folded child
+    # below, where the centroid's node is free to land on either side.
     groups: list[frozenset[int]] = [frozenset([s])]
     if c != s:
         groups.append(frozenset([c]))
-    group_parts: list[tuple[frozenset[int], int]] = []
+    # child seeds number the parts in this order: trunk, side trees, forest
+    parts_at = len(groups)
     if trunk_inner:
-        group_parts.append((trunk_inner, c))
-    for side in dec.side_trees:
-        group_parts.append((side, c))
+        groups.append(trunk_inner)
+    first = len(groups)
+    groups.extend(sides)
     if dec.forest:
-        group_parts.append((dec.forest, s))
-    groups.extend(part for part, _ in group_parts)
+        groups.append(dec.forest)
+    iso = _isolate(cfg, g, s, groups, cuts)
+    side_cuts = iso[first:first + len(sides)]
 
-    iso = _iso_cached(cfg, g, groups)
-    for gc in iso:
-        # each isolating side is itself a cut separating its group from s
-        if s not in gc.group:
-            for t in sorted(gc.group):
-                cuts.offer(t, gc.value, gc.as_cut())
-
-    offset = len(groups) - len(group_parts)
-    part_cut = {part: iso[offset + j] for j, (part, _) in enumerate(group_parts)}
-    # Per-part children pin the centroid to the source supernode, which is
-    # wrong for cuts that keep the centroid with the terminal.  Side trees
-    # only ever need the pinned version (a cut claiming the centroid would
-    # cross their root edge and pruning owns that case); the trunk and the
-    # forest instead go to the folded child below, where the centroid's
-    # node is free to land on either side.
-    sideset = set(dec.side_trees)
-    for j, (part, attach) in enumerate(group_parts):
-        if c != s and part not in sideset:
-            continue
-        rest = frozenset(range(g.n)) - iso[offset + j].side
-        child_g, cm = contract(g, [rest])
-        child_tree = _mapped_subtree(tree, part, attach, cm)
-        view = _fresh_view(child_tree, cuts)
-        _tree_rec(child_g, child_tree, k, view, f"{seed}/i{j}", stats, cfg,
-                  _child_contracted(cm, contracted))
-        _merge_child(cuts, view, cm)
+    everything = frozenset(range(g.n))
+    for j, (side, gc) in enumerate(zip(sides, side_cuts), start=first - parts_at):
+        _child(_tree_rec, g, tree, k, cuts, f"{seed}/i{j}", cfg, contracted,
+               everything - gc.side, side | {c}, c)
+    if c == s:
+        return
 
     # One child for the source's whole component of the tree minus the
     # centroid: the centroid and every side region fold into a single node
     # that stands in for the centroid, so cuts may take it or leave it.
     # The centroid bound keeps this child at roughly two thirds of the
     # tree.
-    if c != s:
-        merge = frozenset((c,)).union(*(part_cut[sd].side for sd in dec.side_trees))
-        own = {s} | dec.forest | trunk_inner
-        child_g, cm = contract(g, [merge])
-        y = cm.forward[c]
-        verts = {cm.forward[v] for v in own} | {y}
-        edges = [(cm.forward[u], cm.forward[v])
-                 for u, v in tree.edges if u in own and v in own]
-        edges.append((cm.forward[dec.path[-2]], y))
-        yt = SteinerTree(verts, edges, cm.forward[s])
-        if yt.size < tree.size:
-            view = _fresh_view(yt, cuts)
-            _tree_rec(child_g, yt, k, view, f"{seed}/y", stats, cfg,
-                      _child_contracted(cm, contracted))
-            _merge_child(cuts, view, cm, remap={y: c})
+    keep = {s, c} | dec.forest | trunk_inner
+    if len(keep) < tree.size:
+        merge = frozenset((c,)).union(*(gc.side for gc in side_cuts))
+        _child(_tree_rec, g, tree, k, cuts, f"{seed}/y", cfg, contracted, merge, keep, c)
 
     # Reduced tree: drop the forest and the trunk interior, reattach the
     # source directly at the centroid.  The leaf variant hunts cuts through
     # the new source edge at full budget; everything else has lost at least
     # one crossing, so a k-1 pass completes the coverage.
-    if c != s:
-        t4_vertices = {s, c}.union(*dec.side_trees)
-        sc = (s, c) if s < c else (c, s)
-        extra = () if sc in tree.edges else (sc,)
-        t4 = _subtree(tree, t4_vertices, s, extra)
-        _leaf_rec(g, t4, k, cuts, f"{seed}/l", stats, cfg, contracted)
-        if k > 1:
-            _tree_rec(g, t4, k - 1, cuts, f"{seed}/r", stats, cfg, contracted)
+    t4 = _subtree(tree, {s, c}.union(*sides), _source_edge(tree, c))
+    _leaf_rec(g, t4, k, cuts, f"{seed}/l", cfg, contracted)
+    if k > 1:
+        _tree_rec(g, t4, k - 1, cuts, f"{seed}/r", cfg, contracted)
 
 
 def _leaf_rec(
@@ -425,15 +406,10 @@ def _leaf_rec(
     k: int,
     cuts: CandidateCuts,
     seed: str,
-    stats: RecursionStats,
     cfg: _Cfg,
     contracted: frozenset[int],
 ) -> None:
-    stats.record("leaf", k, g.n, tree.size, _live_edges(g, contracted))
-    if k == 0:
-        return
-    if tree.size <= BASE_TREE_SIZE:
-        _base_case(g, tree, cuts, cfg)
+    if not _enter("leaf", g, tree, k, cuts, cfg, contracted):
         return
 
     s = tree.source
@@ -446,57 +422,34 @@ def _leaf_rec(
     sides = dec.side_trees
 
     if k > 1:
-        rounds = _rounds(cfg, g.n) if sides else 1
-        for r in range(rounds):
-            coin = random.Random(f"{seed}/p{r}#coins")
-            pruned = prune_sample(tree, sides, coin)
-            _leaf_rec(g, pruned, k - 1, cuts, f"{seed}/p{r}", stats, cfg,
-                      contracted)
+        _prune_rounds(_leaf_rec, g, tree, k, cuts, seed, cfg, contracted, sides)
 
         # Drop the source's own branch and reattach the source at the
         # centroid; cuts through the old source edge that stay out of the
         # branch lose a crossing, so the unrestricted variant at k-1 covers
         # them.
-        t2_vertices = {s, c}.union(*sides)
-        sc = (s, c) if s < c else (c, s)
-        extra = () if sc in tree.edges else (sc,)
-        t2 = _subtree(tree, t2_vertices, s, extra)
-        _tree_rec(g, t2, k - 1, cuts, f"{seed}/b", stats, cfg, contracted)
+        t2 = _subtree(tree, {s, c}.union(*sides), _source_edge(tree, c))
+        _tree_rec(g, t2, k - 1, cuts, f"{seed}/b", cfg, contracted)
 
     groups: list[frozenset[int]] = [frozenset([s]), frozenset([c])]
     groups.extend(sides)
     if own_branch:
         groups.append(own_branch)
-    iso = _iso_cached(cfg, g, groups)
-    for gc in iso:
-        if s not in gc.group:
-            for t in sorted(gc.group):
-                cuts.offer(t, gc.value, gc.as_cut())
-    side_cuts = [iso[2 + i] for i in range(len(sides))]
+    iso = _isolate(cfg, g, s, groups, cuts)
+    side_cuts = iso[2:2 + len(sides)]
 
     # Source-branch child at the same budget: the centroid and the side
     # regions collapse into a single node hanging off the branch, free to
     # land on either side of a cut, so both centroid placements survive.
-    if own_branch:
+    keep = {s, c} | own_branch
+    if own_branch and len(keep) < tree.size:
         merge = frozenset((c,)).union(*(gc.side for gc in side_cuts))
-        own = {s} | own_branch
-        child_g, cm = contract(g, [merge])
-        y = cm.forward[c]
-        verts = {cm.forward[v] for v in own} | {y}
-        edges = [(cm.forward[u], cm.forward[v])
-                 for u, v in tree.edges if u in own and v in own]
-        edges.append((cm.forward[dec.path[-2]], y))
-        yt = SteinerTree(verts, edges, cm.forward[s])
-        if yt.size < tree.size:
-            view = _fresh_view(yt, cuts)
-            _leaf_rec(child_g, yt, k, view, f"{seed}/y", stats, cfg,
-                      _child_contracted(cm, contracted))
-            _merge_child(cuts, view, cm, remap={y: c})
+        _child(_leaf_rec, g, tree, k, cuts, f"{seed}/y", cfg, contracted, merge, keep, c)
 
     # One exact cut from the source to everything at or beyond the
     # centroid; its value is shared by all those terminals at once.
-    far = sorted({c}.union(*sides))
-    res = _multi_cached(cfg, g, s, far)
+    far = tuple(sorted({c}.union(*sides)))
+    res = _cached(cfg, max_flow_multi, g, s, far)
     for t in far:
         cuts.offer(t, res.value, res.mincut)
 
@@ -508,33 +461,13 @@ def _leaf_rec(
         pool = sorted(set().union(*sides))
         z = max(pool, key=lambda t: (cuts.value(t), -t))
         i_star = next(i for i, side in enumerate(sides) if z in side)
-        merge = {c}
-        for i, gc in enumerate(side_cuts):
-            if i != i_star:
-                merge |= gc.side
+        merge = {c}.union(*(gc.side for i, gc in enumerate(side_cuts) if i != i_star))
         if own_branch:
             merge |= iso[-1].side
         part = sides[i_star]
         if len(merge) > 1 or len(part) + 2 < tree.size:
-            child_g, cm = contract(g, [merge])
-            cnode = cm.forward[c]
-            root = None
-            for u, v in tree.edges:
-                if u == c and v in part:
-                    root = v
-                    break
-                if v == c and u in part:
-                    root = u
-                    break
-            verts = {cm.forward[s], cnode} | {cm.forward[v] for v in part}
-            edges = [(cm.forward[u], cm.forward[v])
-                     for u, v in tree.edges if u in part and v in part]
-            edges += [(cm.forward[s], cnode), (cnode, cm.forward[root])]
-            t4 = SteinerTree(verts, edges, cm.forward[s])
-            view = _fresh_view(t4, cuts)
-            _leaf_rec(child_g, t4, k, view, f"{seed}/z", stats, cfg,
-                      _child_contracted(cm, contracted))
-            _merge_child(cuts, view, cm, remap={cnode: c})
+            _child(_leaf_rec, g, tree, k, cuts, f"{seed}/z", cfg, contracted,
+                   merge, part | {s, c}, c, _source_edge(tree, c))
 
 
 def sstcv_verify(
@@ -557,7 +490,8 @@ def sstcv_verify(
     is reliable (with high probability) whenever the estimates are upper
     bounds on the true cut values and every terminal whose estimate is
     tight has some guide tree crossing one of its minimum cuts at most k
-    times.
+    times.  `stats`, when given, accumulates over all guide trees; with
+    `stats=None` no per-call bookkeeping is done.
     """
     tset = sorted(set(terminals) - {s})
     if not tset:
@@ -574,8 +508,6 @@ def sstcv_verify(
         raise ValueError(f"missing estimates for terminals {missing}")
 
     cuts = CandidateCuts([])
-    if stats is None:
-        stats = RecursionStats()
     seed = _seed_string(rng)
     for i, tr in enumerate(guide_trees):
         tree_mincuts(g, tr, k, cuts, f"{seed}/g{i}", stats, reps_coeff=reps_coeff)

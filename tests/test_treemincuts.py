@@ -268,12 +268,25 @@ def test_determinism_same_seed():
 
 
 def test_rng_accepts_random_instance():
-    g, tr, s = tree_instance(3)
-    a = CandidateCuts([])
-    b = CandidateCuts([])
-    tree_mincuts(g, tr, 2, a, random.Random(123), stats=None)
-    tree_mincuts(g, tr, 2, b, random.Random(123))
-    assert a.values == b.values
+    # a Random seed works, and keeping stats changes no value or witness
+    for fn, leaf in ((tree_mincuts, False), (leaf_mincuts, True)):
+        g, tr, s = tree_instance(3, leaf_source=leaf)
+        a = CandidateCuts([])
+        b = CandidateCuts([])
+        fn(g, tr, 2, a, random.Random(123), stats=None)
+        fn(g, tr, 2, b, random.Random(123), stats=RecursionStats())
+        assert a.values == b.values
+        assert a.witnesses == b.witnesses
+
+    g, tr, s = tree_instance(4)
+    guides = [tr, random_steiner_tree(tr.vertices, s, random.Random(4))]
+    terminals = [t for t in tr.vertices if t != s]
+    estimates = {t: brute_min_cut(g, s, t).value for t in terminals}
+    verdicts = [
+        sstcv_verify(g, terminals, s, estimates, guides, 2, random.Random(7), stats=st)
+        for st in (None, RecursionStats())
+    ]
+    assert verdicts[0] == verdicts[1]
 
 
 def test_stats_accumulate_per_level():
