@@ -182,7 +182,8 @@ def format_gh_tree(tree: GomoryHuTree) -> str:
 def parse_gh_tree(text: str) -> GomoryHuTree:
     size = None
     edges: list[tuple[int, int]] = []
-    weights: dict[int, int] = {}
+    # vertex -> (weight, line of its 'w' record)
+    weights: dict[int, tuple[int, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -190,6 +191,8 @@ def parse_gh_tree(text: str) -> GomoryHuTree:
         fields = line.split()
         try:
             if fields[0] == "t" and len(fields) == 2:
+                if size is not None:
+                    raise GraphFormatError("duplicate tree header", lineno)
                 size = int(fields[1])
             elif fields[0] == "e" and len(fields) == 3:
                 edges.append((int(fields[1]), int(fields[2])))
@@ -197,9 +200,14 @@ def parse_gh_tree(text: str) -> GomoryHuTree:
                 if int(fields[1]) != 0:
                     raise GraphFormatError("cut tree root must be vertex 0", lineno)
             elif fields[0] == "w" and len(fields) == 3:
-                weights[int(fields[1])] = int(fields[2])
+                v = int(fields[1])
+                if v in weights:
+                    raise GraphFormatError(f"duplicate weight line for vertex {v}", lineno)
+                weights[v] = (int(fields[2]), lineno)
             else:
                 raise GraphFormatError(f"unknown record {line!r}", lineno)
+        except GraphFormatError:
+            raise
         except ValueError as exc:
             raise GraphFormatError(f"bad record: {exc}", lineno) from exc
     if size is None:
@@ -228,7 +236,10 @@ def parse_gh_tree(text: str) -> GomoryHuTree:
     for v in range(1, size):
         if v not in weights:
             raise GraphFormatError(f"missing 'w {v} <weight>' line")
-        weight[v] = weights[v]
+        weight[v] = weights.pop(v)[0]
+    if weights:
+        v, (_, lineno) = next(iter(weights.items()))  # the first such line
+        raise GraphFormatError(f"weight line for vertex {v}, not a non-root tree vertex", lineno)
     try:
         return GomoryHuTree(parent, weight)
     except ValueError as exc:

@@ -44,18 +44,28 @@ class Graph:
     __slots__ = ("n", "edges", "_adj", "_hash", "_net")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
+        # n and endpoints must be ints (bool is refused); a weight may also
+        # be an integral float such as 2.0, stored as an int
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
         merged: dict[tuple[int, int], int] = {}
         for u, v, w in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r},{v!r}) has a non-integer endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if w < 1 or w != int(w):
+            if type(w) is not int:
+                if type(w) is not float or not w.is_integer():
+                    raise ValueError(f"edge ({u},{v}) has non-integer weight {w!r}")
+                w = int(w)
+            if w < 1:
                 raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
             if u == v:
                 continue
             key = (u, v) if u < v else (v, u)
-            merged[key] = merged.get(key, 0) + int(w)
+            merged[key] = merged.get(key, 0) + w
         if sum(merged.values()) >= WEIGHT_CAP:
             raise ValueError("total edge weight exceeds the 2^62 overflow guard")
         self.n = n

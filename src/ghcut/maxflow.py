@@ -10,10 +10,12 @@ Who keeps a network: `max_flow` uses the one attached to the graph when
 there is one and otherwise builds a throwaway one.  Callers that run many
 flows on one graph attach it once with `attach_network`, as Gusfield's
 construction and the Gomory-Hu verifier do (n-1 and n(n-1)/2 flows on the
-same graph).  The guided search in `treemincuts` does not: its flow cache
-keeps hundreds of contracted graphs alive per `tree_mincuts` call, and a
-network on each of them raised the `sst-guided` benchmark's peak memory by
-about 7% (22.5 to 24.0 MB) without making it faster.
+same graph).  The guided search in `treemincuts` does not: its per-call
+cache keeps every contracted child it builds alive until the call returns
+(each once, about 430 graphs per n=72 `tree_mincuts` call), next to the
+flow and isolating results computed on them.  A network on each cached
+graph raised the `sst-guided` benchmark's peak memory by about 7% (22.5 to
+24.0 MB) without making it faster.
 
 Each phase's BFS stops as soon as the sink is labelled, since every vertex
 the phase can use is labelled by then; after an augmentation the DFS

@@ -340,6 +340,8 @@ def parse_tree(text: str) -> SteinerTree:
             except ValueError as exc:
                 raise GraphFormatError(f"bad tree edge: {exc}", lineno) from exc
         elif fields[0] == "s":
+            if source is not None:
+                raise GraphFormatError("duplicate source line", lineno)
             if len(fields) != 2:
                 raise GraphFormatError("source line must be 's <vertex>'", lineno)
             try:

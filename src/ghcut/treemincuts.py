@@ -121,7 +121,13 @@ class RecursionStats:
 
 # Repeated pruning rounds rebuild identical contracted instances, so the
 # deterministic flow work repeats too; one cache per top-level run collapses
-# it.  Large graphs are left uncached: few repeats, costly keys.
+# it.  Flow and isolating results are cached only on graphs up to this size:
+# large graphs see few repeats and have costly keys.  The same cache also
+# keeps every contracted child `_child` builds, at any size: its graph,
+# contraction map and sole-preimage tuple, keyed on the parent graph and a
+# bitmask of the merged vertices.  A repeated child is then the same Graph
+# object, so the flow and isolating lookups on it match by identity.
+# Everything the cache holds is dropped when the top-level call returns.
 _CACHE_MAX_N = 64
 
 
@@ -229,7 +235,13 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: 
     as `pivot`, so a supernode that stands in for a real vertex keeps its
     identity.
     """
-    child_g, cm = contract(g, [merge])
+    # memoised at every size (see _CACHE_MAX_N); a parent above the cutoff
+    # is the caller's own graph, so its key matches by identity
+    key = (_quotient, g, sum(1 << v for v in merge))
+    hit = cfg.cache.get(key)
+    if hit is None:
+        hit = cfg.cache[key] = _quotient(g, key[2])
+    child_g, cm, sole = hit
     f = cm.forward
     edges = [(f[u], f[v]) for u, v in tree.edges if u in keep and v in keep]
     edges.extend((f[u], f[v]) for u, v in extra)
@@ -240,27 +252,32 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: 
     if cfg.stats is not None:
         contracted = frozenset(f[v] for v in contracted) | cm.contracted_nodes
     rec(child_g, child_tree, k, view, seed, cfg, contracted)
-    _merge_child(cuts, view, cm, pivot)
+    _merge_child(cuts, view, cm, sole, pivot)
+
+
+def _quotient(g: Graph, mask: int) -> tuple[Graph, ContractionMap, tuple[int, ...]]:
+    """`g` with the vertices of bitmask `mask` merged into one node, its
+    map, and `sole[q]`: the one original vertex of node q, or -1."""
+    child_g, cm = contract(g, [[v for v in range(g.n) if mask >> v & 1]])
+    sole = tuple(p[0] if len(p) == 1 else -1 for p in cm.preimage_lists())
+    return child_g, cm, sole
 
 
 def _merge_child(cuts: CandidateCuts, child: CandidateCuts, cm: ContractionMap,
-                 pivot: int) -> None:
+                 sole: tuple[int, ...], pivot: int) -> None:
     """Lift a contracted child's results into the parent table.
 
     A child terminal that is the image of a single original vertex lands on
     that vertex, and the image of `pivot` lands on `pivot`; any other
-    supernode result is dropped.
+    supernode result is dropped.  Only results that improve the parent's
+    value are lifted: the others would be refused anyway.
     """
-    pre = cm.preimage_lists()
     q_pivot = cm.forward[pivot]
+    best = cuts.values
     for q, val in child.values.items():
-        if val == math.inf:
-            continue
-        if q == q_pivot:
-            target = pivot
-        elif len(pre[q]) == 1:
-            target = pre[q][0]
-        else:
+        target = pivot if q == q_pivot else sole[q]
+        # an unknown target reads -1, which no value improves on
+        if target < 0 or val >= best.get(target, -1):
             continue
         wit = child.witnesses[q]
         lifted = Cut(cm.lift_side(wit.side), wit.value) if wit is not None else None

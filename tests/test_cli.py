@@ -224,6 +224,21 @@ def test_missing_file_exit_two(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 2.5, "edges": [[0, 1, 1]]}',
+    '{"n": true, "edges": [[0, 1, 1]]}',
+    '{"n": 3, "edges": [[0, 1.5, 1]]}',
+    '{"n": 3, "edges": [[0, 1, 1.5]]}',
+])
+def test_maxflow_bad_json_graph_exit_two(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, ["maxflow", str(path), "--format", "json", "-s", "0", "-t", "1"])
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_bench_single_size_k_zero_counts_top_call_only():
     table = bench_recursion([32], 0, [0], 1.0)
     row = table["rows"][0]

@@ -8,6 +8,7 @@ from ghcut import (
     GHViolation,
     GomoryHuTree,
     Graph,
+    GraphFormatError,
     build_gusfield,
     format_gh_tree,
     generate,
@@ -194,6 +195,20 @@ def test_parse_reorients_edges():
     tree = parse_gh_tree(text)
     assert tree.query(0, 2) == 4
     assert tree.query(1, 2) == 6
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("t 3\ne 1 0\ne 2 1\ns 0\nw 1 4\nw 2 6\nw 1 5\n", 7, "duplicate weight line for vertex 1"),
+    ("t 3\ne 1 0\ne 2 1\ns 0\nw 1 4\nw 2 6\nw 3 5\n", 7, "vertex 3, not a non-root"),
+    ("t 3\ne 1 0\ne 2 1\ns 0\nw 0 9\nw 1 4\nw 2 6\n", 5, "vertex 0, not a non-root"),
+    ("t 3\ne 1 0\ne 2 1\ns 2\nw 1 4\nw 2 6\n", 4, "root must be vertex 0"),
+    ("t 3\ne 1 0\nt 2\ns 0\nw 1 4\n", 3, "duplicate tree header"),
+])
+def test_parse_rejects_bad_weight_lines(text, line, message):
+    with pytest.raises(GraphFormatError, match=message) as exc:
+        parse_gh_tree(text)
+    assert exc.value.line == line
+    assert str(exc.value).count(f"line {line}:") == 1
 
 
 def test_save_and_load(tmp_path):

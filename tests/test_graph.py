@@ -1,5 +1,6 @@
 """Graph construction, cuts, contraction, generators, and file round trips."""
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +49,30 @@ def test_constructor_rejects_bad_input():
         Graph(2, [(0, 1, -3)])
     with pytest.raises(ValueError):
         Graph(2, [(0, 1, 2**62)])
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (2.5, [(0, 1, 1)], "vertex count must be an integer"),
+    (True, [(0, 1, 1)], "vertex count must be an integer"),
+    ("3", [(0, 1, 1)], "vertex count must be an integer"),
+    (3, [(0.5, 1, 1)], "non-integer endpoint"),
+    (3, [(0, 1.0, 1)], "non-integer endpoint"),
+    (3, [(False, 1, 1)], "non-integer endpoint"),
+    (3, [(0, 1, 1.5)], "non-integer weight 1.5"),
+    (3, [(0, 1, "2")], "non-integer weight '2'"),
+    (3, [(0, 1, float("inf"))], "non-integer weight inf"),
+    (3, [(0, 1, True)], "non-integer weight True"),
+    (3, [(0, 1, 0)], "non-positive weight 0"),
+])
+def test_constructor_rejects_non_integers(n, edges, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Graph(n, edges)
+
+
+def test_constructor_accepts_integral_float_weight():
+    g = Graph(3, [(0, 1, 2.0)])
+    assert g.edges == ((0, 1, 2),)
+    assert type(g.edges[0][2]) is int
 
 
 def test_adjacency_and_degree():
@@ -252,6 +277,10 @@ def test_json_parse_error():
         parse_graph("{not json", "json")
     with pytest.raises(GraphFormatError):
         parse_graph('{"edges": []}', "json")
+    for text in ('{"n": 2.5, "edges": [[0, 1, 1]]}', '{"n": true, "edges": [[0, 1, 1]]}',
+                 '{"n": 3, "edges": [[0.5, 1, 1]]}', '{"n": 3, "edges": [[0, 1, Infinity]]}'):
+        with pytest.raises(ValueError):
+            parse_graph(text, "json")
 
 
 def test_save_and_load(tmp_path):

@@ -294,6 +294,9 @@ def test_tree_parse_errors():
     with pytest.raises(GraphFormatError) as exc:
         parse_tree("c fine\nx 1\n")
     assert exc.value.line == 2
+    with pytest.raises(GraphFormatError, match="duplicate source") as exc:
+        parse_tree("t 2\ne 0 1\ns 0\ns 1\n")
+    assert exc.value.line == 4
 
 
 def test_tree_save_and_load(tmp_path):

@@ -9,7 +9,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ghcut.treemincuts as treemincuts
 from ghcut import (
     CandidateCuts,
     Cut,
@@ -22,6 +24,7 @@ from ghcut import (
     cut_value,
     generate,
     leaf_mincuts,
+    random_spanning_tree,
     random_steiner_tree,
     sstcv_verify,
     tree_mincuts,
@@ -445,3 +448,70 @@ def test_centroid_side_terminals_leaf_regression():
             hi = brute_leaf_respecting_min_cut(g, tr, s, t, k).value
             lo = brute_min_cut(g, s, t).value
             assert lo <= cuts.value(t) <= hi, (inst, t)
+
+
+def test_children_are_contracted_once_per_call(monkeypatch):
+    # Above the flow-cache cutoff, pruning rounds revisit the same children;
+    # each (parent graph, merged group) pair must be contracted only once
+    # per call, and the memo must not change what the search finds.
+    g = generate("erdos-renyi-weighted", 70, seed=70)
+    assert g.n > treemincuts._CACHE_MAX_N
+    tr = random_spanning_tree(g, 0, random.Random("memo|70"))
+    real_contract, real_child = treemincuts.contract, treemincuts._child
+    outputs = []
+    for stats in (None, RecursionStats()):
+        pairs = []
+        children = [0]
+
+        def counted_contract(h, groups):
+            pairs.append((h.n, h.edges, frozenset(groups[0])))
+            return real_contract(h, groups)
+
+        def counted_child(*args, **kwargs):
+            children[0] += 1
+            return real_child(*args, **kwargs)
+
+        monkeypatch.setattr(treemincuts, "contract", counted_contract)
+        monkeypatch.setattr(treemincuts, "_child", counted_child)
+        cuts = CandidateCuts([])
+        tree_mincuts(g, tr, 2, cuts, "memo", stats)
+        assert len(set(pairs)) == len(pairs)
+        # the instance does repeat children, so the memo is exercised
+        assert children[0] > len(pairs) > 0
+        outputs.append((cuts.values, cuts.witnesses))
+    assert outputs[0] == outputs[1]
+
+
+def _leaf_tree(verts, rng):
+    s = verts[0]
+    spine = random_steiner_tree(verts[1:], verts[1], rng)
+    return SteinerTree(verts, list(spine.edges) + [(s, rng.choice(verts[1:]))], s)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(8, 60), seed=st.integers(0, 2**32), k=st.integers(1, 2),
+       leaf=st.booleans())
+def test_lifted_witnesses_are_real_cuts_against_networkx(n, seed, k, leaf):
+    # Past the brute-force oracles' reach: every finite value comes with a
+    # witness that is a real (s, t)-cut of the input graph, of that value,
+    # and no lighter than the true minimum cut.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    g = generate("erdos-renyi-weighted", n, seed=seed)
+    verts = rng.sample(range(n), rng.randint(min(n, 7), n))
+    s = verts[0]
+    tr = _leaf_tree(verts, rng) if leaf else random_steiner_tree(verts, s, rng)
+    cuts = CandidateCuts([])
+    fn = leaf_mincuts if leaf else tree_mincuts
+    fn(g, tr, k, cuts, seed, reps_coeff=1.0)
+
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_weighted_edges_from(g.edges, weight="capacity")
+    for t in verts[1:]:
+        value = cuts.value(t)
+        assert value < math.inf
+        wit = cuts.witness(t)
+        assert t in wit.side and s not in wit.side
+        assert cut_value(g, wit.side) == wit.value == value
+        assert value >= nx.minimum_cut_value(nxg, s, t)
