@@ -205,24 +205,14 @@ def _cmd_isolate(args) -> int:
     return 0
 
 
-def _cmd_tree_mincuts(args) -> int:
+def _cmd_mincuts(args) -> int:
+    """`tree-mincuts` and `leaf-mincuts`: `args.search` is the procedure."""
     g = load_graph(args.graph, args.format)
     tree = load_tree(args.tree)
     cuts = CandidateCuts([], track_witnesses=args.witnesses)
     stats = RecursionStats()
-    tree_mincuts(g, tree, args.k, cuts, args.seed, stats, reps_coeff=args.reps_coeff)
-    _emit(_mu_report("tree-mincuts", args, cuts, stats))
-    _dump_stats(stats, args.stats)
-    return 0
-
-
-def _cmd_leaf_mincuts(args) -> int:
-    g = load_graph(args.graph, args.format)
-    tree = load_tree(args.tree)
-    cuts = CandidateCuts([], track_witnesses=args.witnesses)
-    stats = RecursionStats()
-    leaf_mincuts(g, tree, args.k, cuts, args.seed, stats, reps_coeff=args.reps_coeff)
-    _emit(_mu_report("leaf-mincuts", args, cuts, stats))
+    args.search(g, tree, args.k, cuts, args.seed, stats, reps_coeff=args.reps_coeff)
+    _emit(_mu_report(args.cmd, args, cuts, stats))
     _dump_stats(stats, args.stats)
     return 0
 
@@ -383,10 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", required=True, help="e.g. '0,1;2;5,7'")
     p.set_defaults(func=_cmd_isolate)
 
-    for name, handler in (
-        ("tree-mincuts", _cmd_tree_mincuts),
-        ("leaf-mincuts", _cmd_leaf_mincuts),
-    ):
+    for name, search in (("tree-mincuts", tree_mincuts), ("leaf-mincuts", leaf_mincuts)):
         p = sub.add_parser(name, help=f"guided search ({name})")
         add_common(p, tree_file=True)
         p.add_argument("--k", type=int, required=True, help="tree crossing budget")
@@ -394,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--reps-coeff", type=float, default=3.0)
         p.add_argument("--stats", default=None, help="write per-level stats JSON here")
         p.add_argument("--witnesses", action="store_true", help="include witness sides")
-        p.set_defaults(func=handler)
+        p.set_defaults(func=_cmd_mincuts, search=search)
 
     p = sub.add_parser("sstcv", help="classify cut estimates as tight or loose")
     add_common(p)

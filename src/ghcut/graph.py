@@ -51,7 +51,11 @@ class Graph:
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
         merged: dict[tuple[int, int], int] = {}
-        for u, v, w in edges:
+        for e in edges:
+            try:
+                u, v, w = e
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {e!r} is not a (u, v, weight) triple") from None
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge ({u!r},{v!r}) has a non-integer endpoint")
             if not (0 <= u < n and 0 <= v < n):

@@ -12,10 +12,11 @@ flows on one graph attach it once with `attach_network`, as Gusfield's
 construction and the Gomory-Hu verifier do (n-1 and n(n-1)/2 flows on the
 same graph).  The guided search in `treemincuts` does not: its per-call
 cache keeps every contracted child it builds alive until the call returns
-(each once, about 430 graphs per n=72 `tree_mincuts` call), next to the
-flow and isolating results computed on them.  A network on each cached
-graph raised the `sst-guided` benchmark's peak memory by about 7% (22.5 to
-24.0 MB) without making it faster.
+(each once, about 430 graphs per n=72 `tree_mincuts` call), next to every
+flow, multi-sink flow and isolating result the call computes, on graphs of
+any size.  A network on each cached graph raised the `sst-guided`
+benchmark's peak memory by about 7% (22.5 to 24.0 MB) without making it
+faster.
 
 Each phase's BFS stops as soon as the sink is labelled, since every vertex
 the phase can use is labelled by then; after an augmentation the DFS
@@ -182,6 +183,8 @@ def max_flow_multi(g: Graph, s: int, sinks) -> FlowResult:
     Equivalent to contracting `sinks` to one vertex; the cut is lifted back
     to original vertex ids.
     """
+    if not 0 <= s < g.n:
+        raise ValueError(f"terminal out of range: s={s}, n={g.n}")
     sink_set = frozenset(sinks)
     if not sink_set:
         raise ValueError("need at least one sink")

@@ -26,7 +26,11 @@ class SteinerTree:
         if source not in vset:
             raise ValueError(f"source {source} not among tree vertices")
         norm = []
-        for u, v in edges:
+        for e in edges:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ValueError(f"tree edge {e!r} is not a (u, v) pair") from None
             if u == v:
                 raise ValueError(f"tree edge ({u},{v}) is a self-loop")
             if u not in vset or v not in vset:

@@ -120,15 +120,11 @@ class RecursionStats:
 
 
 # Repeated pruning rounds rebuild identical contracted instances, so the
-# deterministic flow work repeats too; one cache per top-level run collapses
-# it.  Flow and isolating results are cached only on graphs up to this size:
-# large graphs see few repeats and have costly keys.  The same cache also
-# keeps every contracted child `_child` builds, at any size: its graph,
-# contraction map and sole-preimage tuple, keyed on the parent graph and a
-# bitmask of the merged vertices.  A repeated child is then the same Graph
-# object, so the flow and isolating lookups on it match by identity.
+# deterministic work repeats too; one cache per top-level run collapses it.
+# Every flow, multi-sink flow, isolating call and contracted child of the
+# search goes through `_cached`, at every graph size.  A repeated child is
+# then the same Graph object, so the lookups on it match by identity.
 # Everything the cache holds is dropped when the top-level call returns.
-_CACHE_MAX_N = 64
 
 
 @dataclass(frozen=True)
@@ -139,10 +135,8 @@ class _Cfg:
 
 
 def _cached(cfg: _Cfg, fn, g: Graph, *args):
-    """`fn(g, *args)`, memoised per top-level run on graphs up to the cutoff;
-    the arguments must be hashable."""
-    if g.n > _CACHE_MAX_N:
-        return fn(g, *args)
+    """`fn(g, *args)`, memoised per top-level run; the arguments must be
+    hashable."""
     key = (fn, g, *args)
     res = cfg.cache.get(key)
     if res is None:
@@ -235,13 +229,9 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: 
     as `pivot`, so a supernode that stands in for a real vertex keeps its
     identity.
     """
-    # memoised at every size (see _CACHE_MAX_N); a parent above the cutoff
-    # is the caller's own graph, so its key matches by identity
-    key = (_quotient, g, sum(1 << v for v in merge))
-    hit = cfg.cache.get(key)
-    if hit is None:
-        hit = cfg.cache[key] = _quotient(g, key[2])
-    child_g, cm, sole = hit
+    # memoised like every flow and isolating call; the merged set is keyed
+    # as a bitmask of its vertices
+    child_g, cm, sole = _cached(cfg, _quotient, g, sum(1 << v for v in merge))
     f = cm.forward
     edges = [(f[u], f[v]) for u, v in tree.edges if u in keep and v in keep]
     edges.extend((f[u], f[v]) for u, v in extra)

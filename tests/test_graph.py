@@ -63,6 +63,9 @@ def test_constructor_rejects_bad_input():
     (3, [(0, 1, float("inf"))], "non-integer weight inf"),
     (3, [(0, 1, True)], "non-integer weight True"),
     (3, [(0, 1, 0)], "non-positive weight 0"),
+    (3, [5], "edge 5 is not a (u, v, weight) triple"),
+    (3, [(0, 1)], "edge (0, 1) is not a (u, v, weight) triple"),
+    (3, [(0, 1, 2, 3)], "edge (0, 1, 2, 3) is not a (u, v, weight) triple"),
 ])
 def test_constructor_rejects_non_integers(n, edges, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -121,6 +121,14 @@ def test_multi_rejects_source_in_sinks():
         max_flow_multi(g, 0, [])
 
 
+@pytest.mark.parametrize("s", [-1, 3, 5])
+def test_multi_rejects_out_of_range_source(s):
+    # -1 must not wrap around to vertex 2, nor 5 escape as an IndexError
+    g = Graph(3, [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(ValueError, match="terminal out of range"):
+        max_flow_multi(g, s, [1])
+
+
 def test_attached_network_reused_across_pairs():
     # one network serves every ordered pair, twice, in shuffled order; each
     # answer must match a fresh graph (no attached network) and the oracle

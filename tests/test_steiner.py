@@ -1,5 +1,6 @@
 """Steiner trees: construction, centroid decomposition, pruning, file I/O."""
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +59,12 @@ def test_constructor_rejects_bad_trees():
         SteinerTree((0, 1), ((0, 1),), 7)
     with pytest.raises(ValueError):
         SteinerTree((0, 1, 2, 3), ((0, 1), (2, 3), (0, 2), (1, 3)), 0)
+
+
+@pytest.mark.parametrize("edge", [5, (0,), (0, 1, 1)])
+def test_constructor_names_malformed_edge(edge):
+    with pytest.raises(ValueError, match=re.escape(f"tree edge {edge!r} is not a (u, v) pair")):
+        SteinerTree([0, 1], [edge], 0)
 
 
 def test_singleton_tree():

@@ -451,17 +451,27 @@ def test_centroid_side_terminals_leaf_regression():
 
 
 def test_children_are_contracted_once_per_call(monkeypatch):
-    # Above the flow-cache cutoff, pruning rounds revisit the same children;
-    # each (parent graph, merged group) pair must be contracted only once
-    # per call, and the memo must not change what the search finds.
+    # On a graph past 64 vertices, pruning rounds revisit the same children
+    # and repeat the same flows.  Each (parent graph, merged group) pair must
+    # be contracted only once per call, no flow, multi-sink flow or
+    # isolating call may repeat its (graph, arguments), and the memo must
+    # not change what the search finds.
     g = generate("erdos-renyi-weighted", 70, seed=70)
-    assert g.n > treemincuts._CACHE_MAX_N
     tr = random_spanning_tree(g, 0, random.Random("memo|70"))
     real_contract, real_child = treemincuts.contract, treemincuts._child
+    wrapped = ("isolating_cuts", "max_flow", "max_flow_multi")
+    real = {name: getattr(treemincuts, name) for name in wrapped}
     outputs = []
     for stats in (None, RecursionStats()):
         pairs = []
+        calls = []
         children = [0]
+
+        def counted(name):
+            def wrapper(h, *args):
+                calls.append((name, h.n, h.edges, args))
+                return real[name](h, *args)
+            return wrapper
 
         def counted_contract(h, groups):
             pairs.append((h.n, h.edges, frozenset(groups[0])))
@@ -473,11 +483,19 @@ def test_children_are_contracted_once_per_call(monkeypatch):
 
         monkeypatch.setattr(treemincuts, "contract", counted_contract)
         monkeypatch.setattr(treemincuts, "_child", counted_child)
+        for name in wrapped:
+            monkeypatch.setattr(treemincuts, name, counted(name))
         cuts = CandidateCuts([])
         tree_mincuts(g, tr, 2, cuts, "memo", stats)
         assert len(set(pairs)) == len(pairs)
-        # the instance does repeat children, so the memo is exercised
+        assert len(set(calls)) == len(calls)
+        # the instance does repeat children, and the isolating and
+        # multi-sink calls run on the full graph too, so the memo is
+        # exercised past 64 vertices
         assert children[0] > len(pairs) > 0
+        for name in wrapped:
+            assert any(c[0] == name for c in calls), name
+        assert {c[0] for c in calls if c[1] == g.n} == {"isolating_cuts", "max_flow_multi"}
         outputs.append((cuts.values, cuts.witnesses))
     assert outputs[0] == outputs[1]
 
