@@ -31,13 +31,13 @@ class GomoryHuTree:
         n = len(parent)
         if n < 1 or len(weight) != n:
             raise ValueError("parent and weight arrays must have equal positive length")
-        if parent[0] != -1:
+        if type(parent[0]) is not int or parent[0] != -1:
             raise ValueError("vertex 0 must be the root (parent -1)")
         for v in range(1, n):
-            if not (0 <= parent[v] < n):
-                raise ValueError(f"vertex {v} has out-of-range parent {parent[v]}")
-            if weight[v] < 1:
-                raise ValueError(f"vertex {v} has non-positive edge weight {weight[v]}")
+            if type(parent[v]) is not int or not (0 <= parent[v] < n):
+                raise ValueError(f"vertex {v} has out-of-range parent {parent[v]!r}")
+            if type(weight[v]) is not int or weight[v] < 1:
+                raise ValueError(f"vertex {v} has edge weight {weight[v]!r}, not a positive integer")
         # climbing from every vertex must reach the root: rules out cycles
         depth = [-1] * n
         depth[0] = 0
@@ -66,8 +66,8 @@ class GomoryHuTree:
     def query(self, a: int, b: int) -> int:
         """Minimum cut value between a and b: the lightest tree edge on
         their path."""
-        if not (0 <= a < self.n and 0 <= b < self.n):
-            raise ValueError(f"vertex out of range: ({a}, {b}) with n={self.n}")
+        if type(a) is not int or type(b) is not int or not (0 <= a < self.n and 0 <= b < self.n):
+            raise ValueError(f"vertex out of range: ({a!r}, {b!r}) with n={self.n}")
         if a == b:
             raise ValueError("query endpoints must differ")
         parent, weight, depth = self.parent, self.weight, self.depth

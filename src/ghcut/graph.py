@@ -173,6 +173,8 @@ def cut_value(g: Graph, side: Iterable[int]) -> int:
     if not s or len(s) >= g.n:
         raise InvalidCutError(f"cut side must be a proper nonempty subset, got {len(s)} of {g.n}")
     for v in s:
+        if type(v) is not int:
+            raise InvalidCutError(f"cut side contains non-integer vertex {v!r}")
         if not (0 <= v < g.n):
             raise InvalidCutError(f"cut side contains out-of-range vertex {v}")
     return sum(w for u, v, w in g.edges if (u in s) != (v in s))
@@ -192,6 +194,8 @@ def contract(g: Graph, groups: Sequence[Iterable[int]]) -> tuple[Graph, Contract
         if not grp:
             raise ValueError("contraction group may not be empty")
         for v in grp:
+            if type(v) is not int:
+                raise ValueError(f"contraction group contains non-integer vertex {v!r}")
             if not (0 <= v < g.n):
                 raise ValueError(f"contraction group contains out-of-range vertex {v}")
             if v in owner:
@@ -269,10 +273,10 @@ def generate(
         the half/half split the unique global minimum cut value.
     """
     lo, hi = weight_range
-    if n < 2:
-        raise ValueError(f"generator needs n >= 2, got {n}")
-    if not (1 <= lo <= hi):
-        raise ValueError(f"bad weight range {weight_range}")
+    if type(n) is not int or n < 2:
+        raise ValueError(f"generator needs an integer n >= 2, got {n!r}")
+    if type(lo) is not int or type(hi) is not int or not (1 <= lo <= hi):
+        raise ValueError(f"bad weight range {weight_range!r}")
     rng = random.Random(f"ghcut-gen|{kind}|{n}|{seed}")
 
     if kind == "clique":
@@ -304,8 +308,8 @@ def generate(
 
     if kind == "planted-cut":
         v = hi if planted_value is None else planted_value
-        if v < 1:
-            raise ValueError(f"planted value must be positive, got {planted_value}")
+        if type(v) is not int or v < 1:
+            raise ValueError(f"planted value must be a positive integer, got {planted_value!r}")
         order = list(range(n))
         rng.shuffle(order)
         half_a, half_b = order[: n // 2], order[n // 2 :]

@@ -37,6 +37,8 @@ def isolating_cuts(g: Graph, groups: Sequence[Iterable[int]]) -> list[GroupCut]:
         if not grp:
             raise ValueError("isolating group may not be empty")
         for v in grp:
+            if type(v) is not int:
+                raise ValueError(f"group vertex {v!r} is not an integer")
             if not (0 <= v < g.n):
                 raise ValueError(f"group vertex {v} out of range for n={g.n}")
             if v in seen:

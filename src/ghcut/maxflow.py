@@ -147,6 +147,8 @@ def max_flow(g: Graph, s: int, t: int) -> FlowResult:
     side.  s == t is rejected.  Solves on the residual network attached to
     `g` when there is one (see `attach_network`), else on a throwaway one.
     """
+    if type(s) is not int or type(t) is not int:
+        raise ValueError(f"terminals must be integers, got s={s!r}, t={t!r}")
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"terminal out of range: s={s}, t={t}, n={g.n}")
     if s == t:
@@ -183,6 +185,8 @@ def max_flow_multi(g: Graph, s: int, sinks) -> FlowResult:
     Equivalent to contracting `sinks` to one vertex; the cut is lifted back
     to original vertex ids.
     """
+    if type(s) is not int:
+        raise ValueError(f"source must be an integer, got {s!r}")
     if not 0 <= s < g.n:
         raise ValueError(f"terminal out of range: s={s}, n={g.n}")
     sink_set = frozenset(sinks)

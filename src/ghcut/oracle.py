@@ -105,13 +105,26 @@ def _collect(answers: list[frozenset[int]], best: float) -> tuple[Cut, ...]:
     return tuple(Cut(side, int(best)) for side in ordered)
 
 
+def _check_terminals(g: Graph, s: int, t: int) -> None:
+    if type(s) is not int or type(t) is not int or not (0 <= s < g.n and 0 <= t < g.n):
+        raise ValueError(f"terminal out of range: s={s!r}, t={t!r}, n={g.n}")
+    if s == t:
+        raise ValueError("terminals must differ")
+
+
+def _check_guide(g: Graph, tree: SteinerTree, t: int, k: int) -> None:
+    if type(k) is not int or k < 0:
+        raise ValueError(f"crossing budget must be a non-negative integer, got {k!r}")
+    if tree.vertices[0] < 0 or tree.vertices[-1] >= g.n:
+        raise ValueError("tree vertices leave the graph's vertex range")
+    if t not in tree.vertices:
+        raise ValueError(f"terminal {t} is not a tree vertex")
+
+
 def brute_min_cut(g: Graph, s: int, t: int) -> OracleAnswer:
     """Minimum (s, t)-cut by enumerating every side containing t but not s."""
     _guard(g.n, ORACLE_MAX_N)
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError(f"terminal out of range: s={s}, t={t}, n={g.n}")
-    if s == t:
-        raise ValueError("terminals must differ")
+    _check_terminals(g, s, t)
     free = [v for v in range(g.n) if v != s and v != t]
     best: float = math.inf
     sides: list[frozenset[int]] = []
@@ -133,12 +146,8 @@ def brute_respecting_min_cut(
     crossing budget.
     """
     _guard(g.n, ORACLE_MAX_N)
-    if s == t:
-        raise ValueError("terminals must differ")
-    if k < 0:
-        raise ValueError(f"crossing budget must be non-negative, got {k}")
-    if t not in tree.vertices:
-        raise ValueError(f"terminal {t} is not a tree vertex")
+    _check_terminals(g, s, t)
+    _check_guide(g, tree, t, k)
     free = [v for v in range(g.n) if v != s and v != t]
     best: float = math.inf
     sides: list[frozenset[int]] = []
@@ -161,14 +170,10 @@ def brute_leaf_respecting_min_cut(
     """As `brute_respecting_min_cut`, additionally requiring the cut to
     cross the source leaf's own tree edge (s, p): p must land on t's side."""
     _guard(g.n, ORACLE_MAX_N)
+    _check_terminals(g, s, t)
     if s != tree.source or tree.degree(s) != 1:
         raise ValueError("s must be the tree's source and a leaf of it")
-    if s == t:
-        raise ValueError("terminals must differ")
-    if k < 0:
-        raise ValueError(f"crossing budget must be non-negative, got {k}")
-    if t not in tree.vertices:
-        raise ValueError(f"terminal {t} is not a tree vertex")
+    _check_guide(g, tree, t, k)
     p = next(u + v - s for u, v in tree.edges if s in (u, v))
     free = [v for v in range(g.n) if v != s and v != t]
     best: float = math.inf
@@ -198,6 +203,8 @@ def brute_isolating_cuts(g: Graph, groups: Sequence[Iterable[int]]) -> list[Orac
         if not grp:
             raise ValueError("isolating group may not be empty")
         for v in grp:
+            if type(v) is not int:
+                raise ValueError(f"group vertex {v!r} is not an integer")
             if not (0 <= v < g.n):
                 raise ValueError(f"group vertex {v} out of range for n={g.n}")
             if v in seen:
@@ -223,12 +230,13 @@ def brute_steiner_min_cut(g: Graph, terminals: Iterable[int]) -> OracleAnswer:
     terminals on both sides.  The stored side is the one avoiding the
     smallest terminal."""
     _guard(g.n, ORACLE_MAX_N)
-    tset = sorted(set(terminals))
+    tset = set(terminals)
     if len(tset) < 2:
         raise ValueError(f"need at least two terminals, got {len(tset)}")
     for v in tset:
-        if not (0 <= v < g.n):
-            raise ValueError(f"terminal {v} out of range for n={g.n}")
+        if type(v) is not int or not (0 <= v < g.n):
+            raise ValueError(f"terminal {v!r} out of range for n={g.n}")
+    tset = sorted(tset)
     anchor = tset[0]
     others = [v for v in tset if v != anchor]
     free = [v for v in range(g.n) if v != anchor]

@@ -21,16 +21,20 @@ class SteinerTree:
     __slots__ = ("vertices", "edges", "source")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]], source: int):
-        vs = tuple(sorted(set(vertices)))
-        vset = set(vs)
-        if source not in vset:
-            raise ValueError(f"source {source} not among tree vertices")
+        # ids must be ints (bool is refused): 1.0 or True would pass the
+        # membership tests below as vertex 1
+        vset = _vertex_set(vertices)
+        vs = tuple(sorted(vset))
+        if type(source) is not int or source not in vset:
+            raise ValueError(f"source {source!r} not among tree vertices")
         norm = []
         for e in edges:
             try:
                 u, v = e
             except (TypeError, ValueError):
                 raise ValueError(f"tree edge {e!r} is not a (u, v) pair") from None
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"tree edge ({u!r},{v!r}) has a non-integer endpoint")
             if u == v:
                 raise ValueError(f"tree edge ({u},{v}) is a self-loop")
             if u not in vset or v not in vset:
@@ -90,6 +94,15 @@ class SteinerTree:
         return f"SteinerTree(size={self.size}, source={self.source})"
 
 
+def _vertex_set(vertices: Iterable[int]) -> set[int]:
+    # check before the set merges 1.0 or True into an int 1
+    vs = tuple(vertices)
+    for v in vs:
+        if type(v) is not int:
+            raise ValueError(f"tree vertex {v!r} is not an integer")
+    return set(vs)
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Split of a tree at its centroid, seen from the source.
@@ -115,113 +128,64 @@ def centroid(t: SteinerTree) -> int:
     Ties break to the lowest id; every remaining component has at most
     floor(2/3 * size) vertices.
     """
-    n = t.size
-    if n == 1:
-        return t.vertices[0]
-    adj = t.adjacency()
-    root = t.source
+    return decompose(t).centroid
+
+
+def decompose(t: SteinerTree) -> Decomposition:
+    """Centroid split of `t`; see `Decomposition` for the part semantics.
+
+    One DFS from the source gives every part: parents, subtree sizes, and a
+    preorder in which the subtree of the vertex at position i is the run
+    `order[i : i + size[order[i]]]`.
+    """
+    s, n = t.source, t.size
+    adj: dict[int, list[int]] = {v: [] for v in t.vertices}
+    for u, v in t.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = {s: s}
     order: list[int] = []
-    parent: dict[int, int | None] = {root: None}
-    stack = [root]
+    stack = [s]
     while stack:
         u = stack.pop()
         order.append(u)
         for v in adj[u]:
-            if v != parent[u]:
-                parent[v] = u
-                stack.append(v)
-    sub = {v: 1 for v in t.vertices}
-    for u in reversed(order):
-        p = parent[u]
-        if p is not None:
-            sub[p] += sub[u]
-    best_v = -1
-    best = n + 1
-    for v in t.vertices:
-        worst = n - sub[v]
-        for w in adj[v]:
-            if w != parent[v]:
-                worst = max(worst, sub[w])
-        if worst < best:
-            best, best_v = worst, v
-    return best_v
-
-
-def _components_without(t: SteinerTree, removed: int) -> list[frozenset[int]]:
-    adj = t.adjacency()
-    seen = {removed}
-    comps: list[frozenset[int]] = []
-    for start in t.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    stack.append(v)
-        comps.append(frozenset(comp))
-    comps.sort(key=min)
-    return comps
-
-
-def decompose(t: SteinerTree) -> Decomposition:
-    """Centroid split of `t`; see `Decomposition` for the part semantics."""
-    c = centroid(t)
-    s = t.source
-    if s == c:
-        return Decomposition(
-            centroid=c,
-            path=(s,),
-            forest=frozenset(),
-            trunk=frozenset(),
-            side_trees=tuple(_components_without(t, c)),
-        )
-    adj = t.adjacency()
-    parent: dict[int, int | None] = {s: None}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
             if v not in parent:
                 parent[v] = u
                 stack.append(v)
+    size = dict.fromkeys(order, 1)
+    heavy = dict.fromkeys(order, 0)  # size of the largest child subtree
+    for u in order[:0:-1]:  # children before parents, the source skipped
+        p = parent[u]
+        size[p] += size[u]
+        if size[u] > heavy[p]:
+            heavy[p] = size[u]
+    # t.vertices is sorted and min keeps the first minimum: lowest id wins
+    c = min(t.vertices, key=lambda v: max(n - size[v], heavy[v]))
+    # the side trees are the centroid's child subtrees, which tile its run
+    ic = order.index(c)
+    side = []
+    i = ic + 1
+    while i < ic + size[c]:
+        j = i + size[order[i]]
+        side.append(frozenset(order[i:j]))
+        i = j
+    side.sort(key=min)
+    if c == s:
+        return Decomposition(c, (s,), frozenset(), frozenset(), tuple(side))
     path = [c]
     while path[-1] != s:
-        path.append(parent[path[-1]])  # type: ignore[arg-type]
+        path.append(parent[path[-1]])
     path.reverse()
-    r1 = path[1]
-
-    comps = _components_without(t, c)
-    side: list[frozenset[int]] = []
-    source_comp: frozenset[int] = frozenset()
-    for comp in comps:
-        if s in comp:
-            source_comp = comp
-        else:
-            side.append(comp)
-
-    # forest: the source's own hanging subtrees, i.e. what stays with the
-    # source once its path edge is removed
-    forest = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v != r1 and v not in forest and v in source_comp:
-                forest.add(v)
-                stack.append(v)
-    forest.discard(s)
-    trunk = frozenset(t.vertices) - {s} - forest - frozenset().union(*side)
+    # path[1]'s run holds the trunk and the side trees; the source's other
+    # children's runs, before and after it, make up the forest
+    i1 = order.index(path[1])
+    end1 = i1 + size[path[1]]
     return Decomposition(
         centroid=c,
         path=tuple(path),
-        forest=frozenset(forest),
-        trunk=trunk,
+        forest=frozenset(order[1:i1] + order[end1:]),
+        trunk=frozenset(order[i1 : ic + 1] + order[ic + size[c] : end1]),
         side_trees=tuple(side),
     )
 
@@ -249,8 +213,8 @@ def prune_sample(
             raise ValueError("prunable part may not be empty")
         if t.source in p:
             raise ValueError("prunable part contains the source")
-        if not p <= vset:
-            raise ValueError("prunable part leaves the tree")
+        if not p <= vset or any(type(v) is not int for v in p):
+            raise ValueError(f"prunable part {set(p)} leaves the tree")
         if p & taken:
             raise ValueError("prunable parts overlap")
         taken |= p
@@ -262,18 +226,17 @@ def prune_sample(
         return t
     kept = [v for v in t.vertices if v not in removed]
     edges = [e for e in t.edges if e[0] not in removed and e[1] not in removed]
-    try:
-        return SteinerTree(kept, edges, t.source)
-    except ValueError as exc:
-        raise RuntimeError(f"pruning disconnected the tree; bad part list: {exc}") from exc
+    # a part that does not hang off the tree leaves it disconnected, which
+    # SteinerTree rejects
+    return SteinerTree(kept, edges, t.source)
 
 
 def random_steiner_tree(vertices: Iterable[int], source: int, rng: random.Random) -> SteinerTree:
     """Random tree shape over the given vertex ids (edges need not exist in
     any graph): each vertex attaches to a uniformly chosen earlier one."""
-    vs = sorted(set(vertices))
-    if source not in vs:
-        raise ValueError(f"source {source} not among vertices")
+    vs = sorted(_vertex_set(vertices))
+    if type(source) is not int or source not in vs:
+        raise ValueError(f"source {source!r} not among vertices")
     others = [v for v in vs if v != source]
     rng.shuffle(others)
     seq = [source] + others
@@ -283,8 +246,8 @@ def random_steiner_tree(vertices: Iterable[int], source: int, rng: random.Random
 
 def random_spanning_tree(g: Graph, source: int, rng: random.Random) -> SteinerTree:
     """Random DFS spanning tree of a connected graph; edges are graph edges."""
-    if not (0 <= source < g.n):
-        raise ValueError(f"source {source} out of range")
+    if type(source) is not int or not (0 <= source < g.n):
+        raise ValueError(f"source {source!r} out of range")
     adj = g.adjacency()
     seen = {source}
     edges: list[tuple[int, int]] = []

@@ -275,8 +275,8 @@ def _merge_child(cuts: CandidateCuts, child: CandidateCuts, cm: ContractionMap,
 
 
 def _validate(g: Graph, tree: SteinerTree, k: int) -> None:
-    if k < 0:
-        raise ValueError(f"crossing budget k must be non-negative, got {k}")
+    if type(k) is not int or k < 0:
+        raise ValueError(f"crossing budget k must be a non-negative integer, got {k!r}")
     if tree.vertices[0] < 0 or tree.vertices[-1] >= g.n:
         raise ValueError("tree vertices leave the graph's vertex range")
 
@@ -500,7 +500,13 @@ def sstcv_verify(
     times.  `stats`, when given, accumulates over all guide trees; with
     `stats=None` no per-call bookkeeping is done.
     """
-    tset = sorted(set(terminals) - {s})
+    if type(s) is not int:
+        raise ValueError(f"source must be an integer, got {s!r}")
+    tset = set(terminals)
+    for t in tset:
+        if type(t) is not int:
+            raise ValueError(f"terminal {t!r} is not an integer")
+    tset = sorted(tset - {s})
     if not tset:
         raise ValueError("need at least one terminal besides the source")
     if not guide_trees:

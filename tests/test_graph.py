@@ -123,6 +123,14 @@ def test_cut_value_rejects_improper_sides():
         cut_value(g, {5})
 
 
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_cut_value_rejects_non_integer_vertex(bad):
+    # 0.5 matched no endpoint, so the side weighed 0; True passed as vertex 1
+    cycle = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+    with pytest.raises(InvalidCutError, match=f"non-integer vertex {bad!r}"):
+        cut_value(cycle, [bad])
+
+
 @given(small_graphs(), st.data())
 @settings(max_examples=120, deadline=None)
 def test_cut_complement_symmetry(g, data):
@@ -152,6 +160,15 @@ def test_contract_rejects_bad_groups():
         contract(g, [[0, 1], [1, 2]])
     with pytest.raises(ValueError):
         contract(g, [[0, 7]])
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_contract_rejects_non_integer_vertex(bad):
+    # 0.5 was never looked up, so {0.5, 2} merged nothing but still reported
+    # its quotient node as contracted
+    cycle = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+    with pytest.raises(ValueError, match=f"non-integer vertex {bad!r}"):
+        contract(cycle, [[bad, 2]])
 
 
 @given(small_graphs(), st.data())

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ghcut import (
     Cut,
+    Decomposition,
     Graph,
     GraphFormatError,
     SteinerTree,
@@ -65,6 +66,18 @@ def test_constructor_rejects_bad_trees():
 def test_constructor_names_malformed_edge(edge):
     with pytest.raises(ValueError, match=re.escape(f"tree edge {edge!r} is not a (u, v) pair")):
         SteinerTree([0, 1], [edge], 0)
+
+
+@pytest.mark.parametrize("vertices, edges, source, message", [
+    ([0, 1.5], [(0, 1.5)], 0, "tree vertex 1.5 is not an integer"),
+    ([0, True], [(0, True)], 0, "tree vertex True is not an integer"),
+    ([0, 1], [(0, 1.0)], 0, "tree edge (0,1.0) has a non-integer endpoint"),
+    ([0, 1], [(0, 1)], 0.0, "source 0.0 not among tree vertices"),
+    (["a", 1], [("a", 1)], 1, "tree vertex 'a' is not an integer"),
+])
+def test_constructor_rejects_non_integer_ids(vertices, edges, source, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SteinerTree(vertices, edges, source)
 
 
 def test_singleton_tree():
@@ -193,6 +206,79 @@ def test_decompose_source_is_centroid():
     assert len(d.side_trees) == 4
 
 
+def components_without(t, removed):
+    """Components of the tree minus `removed`, by flood fill."""
+    adj = {v: [] for v in t.vertices}
+    for u, v in t.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {removed}
+    comps = []
+    for start in t.vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = {start}
+        stack = [start]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    comp.add(v)
+                    stack.append(v)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def reference_decomposition(t):
+    """The centroid split computed straight from its definition."""
+    s = t.source
+    worst = {v: max(map(len, components_without(t, v)), default=0) for v in t.vertices}
+    c = min(t.vertices, key=lambda v: (worst[v], v))
+    side = tuple(sorted((p for p in components_without(t, c) if s not in p), key=min))
+    if c == s:
+        return Decomposition(c, (s,), frozenset(), frozenset(), side)
+    # v lies on the source-centroid path iff removing it separates the two
+    on_path = {s, c} | {
+        v for v in t.vertices
+        if all(not (s in p and c in p) for p in components_without(t, v))
+    }
+    path = [s]
+    while path[-1] != c:
+        path.append(next(
+            v for e in t.edges if path[-1] in e
+            for v in e if v in on_path and v not in path
+        ))
+    forest = frozenset().union(*(p for p in components_without(t, s) if path[1] not in p))
+    trunk = frozenset(t.vertices) - {s} - forest - frozenset().union(*side)
+    return Decomposition(c, tuple(path), forest, trunk, side)
+
+
+@st.composite
+def labelled_trees(draw):
+    # vertex i attaches to one of the `width` vertices before it, so width 1
+    # gives a path and width n a uniform random recursive tree; ids are
+    # shuffled so that no shape ties them to DFS order
+    n = draw(st.integers(1, 80))
+    ids = draw(st.permutations(range(n)))
+    width = draw(st.integers(1, n))
+    edges = [(ids[draw(st.integers(max(0, i - width), i - 1))], ids[i]) for i in range(1, n)]
+    t = SteinerTree(ids, edges, ids[0])
+    if draw(st.booleans()):
+        source = reference_decomposition(t).centroid
+    else:
+        source = draw(st.sampled_from(ids))
+    return SteinerTree(ids, edges, source)
+
+
+@given(labelled_trees())
+@settings(max_examples=300, deadline=None)
+def test_decompose_matches_definition(t):
+    expected = reference_decomposition(t)
+    assert decompose(t) == expected
+    assert centroid(t) == expected.centroid
+
+
 def test_respects_count_recount():
     rng = random.Random("respect")
     for _ in range(50):
@@ -246,10 +332,10 @@ def test_prune_sample_validation():
 
 def test_prune_sample_interior_part_fails_loudly():
     t = SteinerTree(range(4), ((0, 1), (1, 2), (2, 3)), 0)
-    # removing the middle of the path disconnects; must raise on the draw
-    # that takes the part
+    # removing the middle of the path disconnects; the draw that takes the
+    # part must raise SteinerTree's own ValueError
     rng = random.Random(0)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="tree edges"):
         for _ in range(64):
             prune_sample(t, [[1]], rng)
 

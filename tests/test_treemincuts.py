@@ -324,6 +324,21 @@ def test_validation_errors():
         tree_mincuts(small, tr, 2, CandidateCuts([]), "x")
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "2"])
+@pytest.mark.parametrize("search", ["tree", "leaf", "sstcv"])
+def test_budget_must_be_an_integer(search, bad):
+    # on this cycle sstcv_verify(..., k=1.5) used to answer {3: "loose"}
+    g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+    tr = SteinerTree(range(4), ((0, 1), (1, 2), (2, 3)), 0)
+    with pytest.raises(ValueError, match=f"got {bad!r}"):
+        if search == "tree":
+            tree_mincuts(g, tr, bad, CandidateCuts([]), "x")
+        elif search == "leaf":
+            leaf_mincuts(g, tr, bad, CandidateCuts([]), "x")
+        else:
+            sstcv_verify(g, [3], 0, {3: 2}, [tr], bad, "x")
+
+
 class TestSstcv:
     def test_exact_estimates_all_tight(self):
         # tiny terminal sets drop straight into the exact base case

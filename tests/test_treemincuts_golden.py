@@ -2,8 +2,8 @@
 
 The search is deterministic given its seed string, so a refactor of the
 recursion must reproduce these values, witnesses and per-level
-`RecursionStats` exactly.  The small cases are spelled out; the n=72 case
-sits above the flow-cache cutoff and is pinned by a sha256 digest of its
+`RecursionStats` exactly.  The small cases are spelled out; the n=72 case,
+the size of the guided-search benchmark, is pinned by a sha256 digest of its
 canonical JSON.  Together the small cases reach every recursive call site of
 both procedures (pruning rounds, the forest, per-part and folded children,
 the reduced tree and the leaf variant's single side-tree branch).
@@ -211,7 +211,7 @@ def test_sstcv_matches_golden():
     assert sstcv_case() == SSTCV
 
 
-def test_large_run_above_cache_cutoff_matches_golden():
+def test_large_run_matches_golden():
     g = generate("erdos-renyi-weighted", 72, seed=72)
     tr = random_spanning_tree(g, 0, random.Random("golden|72"))
     out = run(tree_mincuts, g, tr, 2, "big")
