@@ -220,7 +220,10 @@ def _cmd_mincuts(args) -> int:
 def _cmd_sstcv(args) -> int:
     g = load_graph(args.graph, args.format)
     with open(args.estimates, "r", encoding="ascii") as fh:
-        estimates = {int(key): value for key, value in json.load(fh).items()}
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("estimates file must hold a JSON object: terminal -> value")
+    estimates = {int(key): value for key, value in raw.items()}
     trees = [load_tree(path) for path in args.trees]
     terminals = _ints(args.terminals) if args.terminals else sorted(estimates)
     stats = RecursionStats()

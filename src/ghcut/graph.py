@@ -272,11 +272,14 @@ def generate(
         to `planted_value` (default: the high end of `weight_range`), making
         the half/half split the unique global minimum cut value.
     """
-    lo, hi = weight_range
     if type(n) is not int or n < 2:
         raise ValueError(f"generator needs an integer n >= 2, got {n!r}")
+    try:
+        lo, hi = weight_range
+    except (TypeError, ValueError):
+        raise ValueError(f"weight_range must be a (low, high) pair, got {weight_range!r}") from None
     if type(lo) is not int or type(hi) is not int or not (1 <= lo <= hi):
-        raise ValueError(f"bad weight range {weight_range!r}")
+        raise ValueError(f"bad weight_range {weight_range!r}")
     rng = random.Random(f"ghcut-gen|{kind}|{n}|{seed}")
 
     if kind == "clique":
@@ -286,8 +289,9 @@ def generate(
     if kind == "erdos-renyi-weighted":
         if p is None:
             p = min(1.0, (math.log(n) + 2.0) / n)
-        if not (0.0 <= p <= 1.0):
-            raise ValueError(f"bad edge probability {p}")
+        # a bool is refused too; NaN fails the range test
+        if type(p) not in (int, float) or not (0.0 <= p <= 1.0):
+            raise ValueError(f"edge probability p must be a number in [0, 1], got {p!r}")
         edges = [
             (u, v, rng.randint(lo, hi))
             for u in range(n)

@@ -12,11 +12,12 @@ flows on one graph attach it once with `attach_network`, as Gusfield's
 construction and the Gomory-Hu verifier do (n-1 and n(n-1)/2 flows on the
 same graph).  The guided search in `treemincuts` does not: its per-call
 cache keeps every contracted child it builds alive until the call returns
-(each once, about 430 graphs per n=72 `tree_mincuts` call), next to every
+(each once, about 460 graphs per n=72 `tree_mincuts` call), next to every
 flow, multi-sink flow and isolating result the call computes, on graphs of
-any size.  A network on each cached graph raised the `sst-guided`
-benchmark's peak memory by about 7% (22.5 to 24.0 MB) without making it
-faster.
+any size, and the compact answers of its budget-1 children (about 440
+per n=72 call).  A cached graph sees about four flows, and a network on
+each one raised the `sst-guided` benchmark's peak memory by about 7% (22.5
+to 24.0 MB) without making it faster.
 
 Each phase's BFS stops as soon as the sink is labelled, since every vertex
 the phase can use is labelled by then; after an augmentation the DFS

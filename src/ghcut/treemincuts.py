@@ -37,17 +37,18 @@ class CandidateCuts:
     Values only move down.  Every stored witness is a cut of the graph the
     table was created for, with the terminal inside `side` and the source
     outside; witness tracking can be disabled for measurement runs.
+    Terminals must be `int`s (a `bool` is refused).
     """
 
     __slots__ = ("values", "witnesses", "track_witnesses")
 
     def __init__(self, terminals: Iterable[int], track_witnesses: bool = True):
-        self.values: dict[int, float] = {t: math.inf for t in terminals}
+        self.values: dict[int, float] = {t: math.inf for t in _terminal_ids(terminals)}
         self.witnesses: dict[int, Cut | None] = dict.fromkeys(self.values)
         self.track_witnesses = track_witnesses
 
     def ensure(self, terminals: Iterable[int]) -> None:
-        for t in terminals:
+        for t in _terminal_ids(terminals):
             self.values.setdefault(t, math.inf)
             self.witnesses.setdefault(t, None)
 
@@ -75,13 +76,24 @@ class CandidateCuts:
         return f"CandidateCuts({done}/{len(self.values)} terminals bounded)"
 
 
+def _terminal_ids(terminals: Iterable[int]) -> tuple[int, ...]:
+    # checked before a dict merges 1.0 or True into the key 1
+    ts = tuple(terminals)
+    for t in ts:
+        if type(t) is not int:
+            raise ValueError(f"terminal {t!r} is not an integer")
+    return ts
+
+
 class RecursionStats:
     """Per-(procedure, k) call totals accumulated over one run.
 
     Tracks call count, instance vertices, tree sizes, and live edges (edges
     whose endpoints are both ordinary vertices rather than contracted
     supernodes); when stats are passed, every call records itself on entry,
-    including k = 0.
+    including k = 0.  The counts are of the recursion's logical calls: a
+    child answered from the per-call memo adds the rows its first visit
+    recorded, so the totals do not depend on the memo.
     """
 
     __slots__ = ("rows",)
@@ -124,6 +136,12 @@ class RecursionStats:
 # Every flow, multi-sink flow, isolating call and contracted child of the
 # search goes through `_cached`, at every graph size.  A repeated child is
 # then the same Graph object, so the lookups on it match by identity.
+# Random numbers are drawn only by pruning rounds, which run at k > 1, so a
+# budget-1 child answers the same for the same instance whatever its seed:
+# `_child` keeps its answer under (procedure, child graph, child tree,
+# supernodes) and merges a repeat from there without recursing.  The answer
+# is kept compact: the finite entries of the child's table with witness
+# sides as int bitmasks, and the `RecursionStats` rows its subtree added.
 # Everything the cache holds is dropped when the top-level call returns.
 
 
@@ -227,7 +245,8 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: 
     edges, mapped to quotient ids, with the source's image as its source.
     Results are lifted back into `cuts`; the node holding `pivot` reports
     as `pivot`, so a supernode that stands in for a real vertex keeps its
-    identity.
+    identity.  A budget-1 child that repeats within the call is answered
+    from the memo (see the cache notes above).
     """
     # memoised like every flow and isolating call; the merged set is keyed
     # as a bitmask of its vertices
@@ -236,13 +255,48 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: 
     edges = [(f[u], f[v]) for u, v in tree.edges if u in keep and v in keep]
     edges.extend((f[u], f[v]) for u, v in extra)
     child_tree = SteinerTree({f[v] for v in keep}, edges, f[tree.source])
-    view = CandidateCuts((v for v in child_tree.vertices if v != child_tree.source),
-                         cuts.track_witnesses)
+    stats = cfg.stats
     # supernodes are only needed to count live edges
-    if cfg.stats is not None:
+    if stats is not None:
         contracted = frozenset(f[v] for v in contracted) | cm.contracted_nodes
-    rec(child_g, child_tree, k, view, seed, cfg, contracted)
-    _merge_child(cuts, view, cm, sole, pivot)
+    key = (rec, child_g, child_tree, contracted)
+    answer = cfg.cache.get(key) if k == 1 else None
+    if answer is None:
+        view = CandidateCuts((v for v in child_tree.vertices if v != child_tree.source),
+                             cuts.track_witnesses)
+        before = None
+        if stats is not None:
+            before = {row_key: tuple(row) for row_key, row in stats.rows.items()}
+        rec(child_g, child_tree, k, view, seed, cfg, contracted)
+        answer = (_entries(view), None if stats is None else _rows_since(stats, before))
+        if k == 1:
+            cfg.cache[key] = answer
+    elif stats is not None:
+        for row_key, delta in answer[1]:
+            row = stats.rows.setdefault(row_key, [0, 0, 0, 0])
+            for i, d in enumerate(delta):
+                row[i] += d
+    _merge_child(cuts, answer[0], cm, sole, pivot)
+
+
+def _entries(view: CandidateCuts) -> tuple[tuple[int, int, int | None], ...]:
+    """The finite entries of a child's table as (terminal, value, witness
+    side as a bitmask or None)."""
+    wits = view.witnesses
+    return tuple((q, val, None if (w := wits[q]) is None else sum(1 << v for v in w.side))
+                 for q, val in view.values.items() if val != math.inf)
+
+
+def _rows_since(stats: RecursionStats, before: dict) -> tuple:
+    """The rows `stats` gained since the snapshot `before`, as
+    (key, per-column increments)."""
+    zero = (0, 0, 0, 0)
+    out = []
+    for key, row in stats.rows.items():
+        old = before.get(key, zero)
+        if row[0] != old[0]:
+            out.append((key, tuple(a - b for a, b in zip(row, old))))
+    return tuple(out)
 
 
 def _quotient(g: Graph, mask: int) -> tuple[Graph, ContractionMap, tuple[int, ...]]:
@@ -253,9 +307,10 @@ def _quotient(g: Graph, mask: int) -> tuple[Graph, ContractionMap, tuple[int, ..
     return child_g, cm, sole
 
 
-def _merge_child(cuts: CandidateCuts, child: CandidateCuts, cm: ContractionMap,
-                 sole: tuple[int, ...], pivot: int) -> None:
-    """Lift a contracted child's results into the parent table.
+def _merge_child(cuts: CandidateCuts, entries: Sequence[tuple[int, int, int | None]],
+                 cm: ContractionMap, sole: tuple[int, ...], pivot: int) -> None:
+    """Lift a contracted child's entries (see `_entries`) into the parent
+    table.
 
     A child terminal that is the image of a single original vertex lands on
     that vertex, and the image of `pivot` lands on `pivot`; any other
@@ -264,14 +319,15 @@ def _merge_child(cuts: CandidateCuts, child: CandidateCuts, cm: ContractionMap,
     """
     q_pivot = cm.forward[pivot]
     best = cuts.values
-    for q, val in child.values.items():
+    for q, val, mask in entries:
         target = pivot if q == q_pivot else sole[q]
         # an unknown target reads -1, which no value improves on
         if target < 0 or val >= best.get(target, -1):
             continue
-        wit = child.witnesses[q]
-        lifted = Cut(cm.lift_side(wit.side), wit.value) if wit is not None else None
-        cuts.offer(target, int(val), lifted)
+        # the bits of the mask, lowest first, are the quotient side
+        lifted = None if mask is None else Cut(
+            cm.lift_side(i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1"), val)
+        cuts.offer(target, val, lifted)
 
 
 def _validate(g: Graph, tree: SteinerTree, k: int) -> None:
@@ -519,6 +575,10 @@ def sstcv_verify(
     missing = [t for t in tset if t not in estimates]
     if missing:
         raise ValueError(f"missing estimates for terminals {missing}")
+    for t in tset:
+        # a str or float would silently compare unequal: "loose"
+        if type(estimates[t]) is not int:
+            raise ValueError(f"estimate {estimates[t]!r} for terminal {t} is not an integer")
 
     cuts = CandidateCuts([])
     seed = _seed_string(rng)

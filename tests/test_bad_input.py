@@ -1,11 +1,11 @@
 """Every public entry point rejects malformed vertex ids and counts.
 
-Each case puts one bad value into one id or count argument of a name in
-`ghcut.__all__`: a float (integral or not), a str, a bool, or an int out of
-range.  The call must raise a `ValueError` subclass.  Any other exception,
-or a silent answer, fails.  Names that take no vertex id or count are
-listed in `NO_ID_ARGUMENTS` with the reason, so that a new public name has
-to be placed in one list or the other.
+Each case puts one bad value into one id or count argument (or a cut
+estimate) of a name in `ghcut.__all__`: a float (integral or not), a str, a
+bool, or an int out of range.  The call must raise a `ValueError` subclass.
+Any other exception, or a silent answer, fails.  Names that take no vertex
+id or count are listed in `NO_ID_ARGUMENTS` with the reason, so that a new
+public name has to be placed in one list or the other.
 """
 import random
 
@@ -50,7 +50,7 @@ def outside(lo, hi=None):
 
 
 VERTEX = outside(0, N)
-ALL_IDS = st.nothing()  # the slot accepts any int, e.g. a tree's own vertex ids
+ANY_INT = st.nothing()  # the slot accepts any int, e.g. a tree's own vertex ids or an estimate
 
 
 def tree_with(x):
@@ -72,10 +72,10 @@ CASES = [
     ("generate", "planted_value", lambda x: generate("planted-cut", 4, planted_value=x), outside(1)),
     ("Graph", "n", lambda x: Graph(x, []), outside(1)),
     ("Graph", "edges", lambda x: Graph(N, [(0, x, 1)]), VERTEX),
-    ("SteinerTree", "vertices", lambda x: SteinerTree([0, x], [(0, 1)], 0), ALL_IDS),
+    ("SteinerTree", "vertices", lambda x: SteinerTree([0, x], [(0, 1)], 0), ANY_INT),
     ("SteinerTree", "edges", lambda x: SteinerTree([0, 1], [(0, x)], 0), outside(0, 2)),
     ("SteinerTree", "source", lambda x: SteinerTree([0, 1], [(0, 1)], x), outside(0, 2)),
-    ("random_steiner_tree", "vertices", lambda x: random_steiner_tree([0, x], 0, random.Random(0)), ALL_IDS),
+    ("random_steiner_tree", "vertices", lambda x: random_steiner_tree([0, x], 0, random.Random(0)), ANY_INT),
     ("random_steiner_tree", "source", lambda x: random_steiner_tree([0, 1], x, random.Random(0)), outside(0, 2)),
     ("random_spanning_tree", "source", lambda x: random_spanning_tree(CYCLE, x, random.Random(0)), VERTEX),
     ("prune_sample", "parts", lambda x: prune_sample(PATH, [[x]], random.Random(0)), outside(1, N)),
@@ -89,6 +89,11 @@ CASES = [
     ("sstcv_verify", "terminals", lambda x: sstcv_verify(CYCLE, [x], 0, {x: 2}, [PATH], 1, "x"), VERTEX),
     ("sstcv_verify", "s", lambda x: sstcv_verify(CYCLE, [3], x, {3: 2}, [PATH], 1, "x"), VERTEX),
     ("sstcv_verify", "k", lambda x: sstcv_verify(CYCLE, [3], 0, {3: 2}, [PATH], x, "x"), outside(0)),
+    # a cut value, not an id: any int is a valid estimate
+    ("sstcv_verify", "estimates", lambda x: sstcv_verify(CYCLE, [3], 0, {3: x}, [PATH], 1, "x"), ANY_INT),
+    # no graph, so no vertex range
+    ("CandidateCuts", "terminals", lambda x: CandidateCuts([0, x]), ANY_INT),
+    ("CandidateCuts", "ensure", lambda x: CandidateCuts([0]).ensure([x]), ANY_INT),
     ("brute_min_cut", "s", lambda x: brute_min_cut(CYCLE, x, 3), VERTEX),
     ("brute_min_cut", "t", lambda x: brute_min_cut(CYCLE, 0, x), VERTEX),
     ("brute_respecting_min_cut", "s", lambda x: brute_respecting_min_cut(CYCLE, PATH, x, 3, 1), VERTEX),
@@ -110,9 +115,8 @@ NO_ID_ARGUMENTS = {
     # result records that the library builds and never checks
     "ContractionMap", "Cut", "Decomposition", "FlowResult", "GHViolation",
     "GroupCut", "OracleAnswer",
-    # tables filled by the search: no graph, so no vertex range; the search
-    # offers only the checked ids of its tree
-    "CandidateCuts", "RecursionStats",
+    # filled by the search, keyed by procedure name and budget
+    "RecursionStats",
     # take only a checked Graph, SteinerTree or GomoryHuTree (and a Cut)
     "attach_network", "build_gusfield", "centroid", "connected_components",
     "decompose", "respects_count", "verify_gomory_hu",

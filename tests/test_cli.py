@@ -170,6 +170,20 @@ def test_sstcv_verdicts(capsys, workspace):
     assert verdicts[4] == "loose"
 
 
+@pytest.mark.parametrize("estimates", ['{"3": "2"}', '{"3": 2.5}', '{"3": true}', "[2]"])
+def test_sstcv_malformed_estimates_exit_two(capsys, workspace, estimates):
+    _, gpath, _, tpath, tmp = workspace
+    est_path = tmp / "est.json"
+    est_path.write_text(estimates)
+    code, out, err = run_cli(
+        capsys,
+        ["sstcv", gpath, "--source", "0", "--estimates", str(est_path), "--trees", tpath,
+         "--terminals", "3", "--k", "1"],
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_ghtree_verify_clean(capsys, workspace, tmp_path):
     g, gpath, _, _, _ = workspace
     out_path = tmp_path / "gh.txt"

@@ -258,6 +258,21 @@ def test_generator_rejects_bad_args():
         generate("planted-cut", 6, planted_value=0)
 
 
+@pytest.mark.parametrize("kwargs, argument", [
+    ({"p": "0.5"}, "edge probability p"),
+    ({"p": True}, "edge probability p"),
+    ({"p": float("nan")}, "edge probability p"),
+    ({"weight_range": 5}, "weight_range"),
+    ({"weight_range": (1, 2, 3)}, "weight_range"),
+    ({"weight_range": "ab"}, "weight_range"),
+])
+def test_generator_names_the_malformed_argument(kwargs, argument):
+    # p="0.5" and weight_range=5 used to raise TypeError
+    kind = "erdos-renyi-weighted" if "p" in kwargs else "clique"
+    with pytest.raises(ValueError, match=argument):
+        generate(kind, 5, **kwargs)
+
+
 @given(small_graphs())
 @settings(max_examples=80, deadline=None)
 def test_dimacs_round_trip(g):

@@ -7,6 +7,7 @@ rates over fixed seeds rather than per-run guarantees.
 """
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +79,17 @@ class TestCandidateCuts:
         cuts.offer(1, 4, Cut(frozenset({1}), 4))
         assert cuts.witness(1) is None
         assert cuts.value(1) == 4
+
+    @pytest.mark.parametrize("bad", [1.0, True, "1", None])
+    def test_rejects_non_integer_terminals(self, bad):
+        # CandidateCuts([1.0, True]) used to keep the key 1.0 and answer
+        # terminals() == [1.0]
+        with pytest.raises(ValueError, match="not an integer"):
+            CandidateCuts([bad, 2])
+        cuts = CandidateCuts([2])
+        with pytest.raises(ValueError, match="not an integer"):
+            cuts.ensure([3, bad])
+        assert cuts.terminals() == [2]
 
 
 class TestRecursionStats:
@@ -339,6 +351,16 @@ def test_budget_must_be_an_integer(search, bad):
             sstcv_verify(g, [3], 0, {3: 2}, [tr], bad, "x")
 
 
+@pytest.mark.parametrize("bad", ["2", 2.0, True, None])
+def test_sstcv_estimates_must_be_integers(bad):
+    # an estimate of "2" used to be reported "loose" on this cycle
+    g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+    tr = SteinerTree(range(4), ((0, 1), (1, 2), (2, 3)), 0)
+    with pytest.raises(ValueError, match=f"estimate {bad!r} for terminal 3"):
+        sstcv_verify(g, [3], 0, {3: bad}, [tr], 1, 0)
+    assert sstcv_verify(g, [3], 0, {3: 2}, [tr], 1, 0) == {3: "tight"}
+
+
 class TestSstcv:
     def test_exact_estimates_all_tight(self):
         # tiny terminal sets drop straight into the exact base case
@@ -513,6 +535,61 @@ def test_children_are_contracted_once_per_call(monkeypatch):
         assert {c[0] for c in calls if c[1] == g.n} == {"isolating_cuts", "max_flow_multi"}
         outputs.append((cuts.values, cuts.witnesses))
     assert outputs[0] == outputs[1]
+
+
+def test_budget_one_children_run_once_per_call(monkeypatch):
+    # A budget-1 child draws no random numbers, so its answer depends on
+    # the instance alone: no (procedure, graph, tree, supernodes) entered
+    # from `_child` at k=1 may be recursed into twice within one call.
+    g = generate("erdos-renyi-weighted", 48, seed=48)
+    tr = random_spanning_tree(g, 0, random.Random("once|48"))
+    real = {name: getattr(treemincuts, name) for name in ("_tree_rec", "_leaf_rec")}
+    entered = []
+
+    def recording(name):
+        def wrapper(h, tree, k, cuts, seed, cfg, contracted):
+            if k == 1 and sys._getframe(1).f_code.co_name == "_child":
+                entered.append((name, h, tree, contracted))
+            return real[name](h, tree, k, cuts, seed, cfg, contracted)
+        return wrapper
+
+    for name in real:
+        monkeypatch.setattr(treemincuts, name, recording(name))
+    for k in (2, 3):
+        for stats in (None, RecursionStats()):
+            entered.clear()
+            tree_mincuts(g, tr, k, CandidateCuts([]), f"once{k}", stats, reps_coeff=1.0)
+            assert {e[0] for e in entered} == set(real)
+            assert len(set(entered)) == len(entered)
+
+
+@pytest.mark.parametrize("leaf", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_untracked_runs_find_the_tracked_values(k, leaf):
+    # The memo keeps witnesses only when the table tracks them, and keys
+    # supernodes only when stats are kept; neither may change a value.
+    rng = random.Random(f"untracked|{k}|{leaf}")
+    n = 36
+    g = generate("erdos-renyi-weighted", n, seed=k)
+    verts = rng.sample(range(n), 24)
+    tr = _leaf_tree(verts, rng) if leaf else random_steiner_tree(verts, verts[0], rng)
+    fn = leaf_mincuts if leaf else tree_mincuts
+    values, totals = [], []
+    for track in (True, False):
+        for stats in (RecursionStats(), None):
+            cuts = CandidateCuts([], track_witnesses=track)
+            fn(g, tr, k, cuts, "untracked", stats, reps_coeff=2.0)
+            values.append(cuts.values)
+            if stats is not None:
+                totals.append(stats.as_dict())
+            for t, w in cuts.witnesses.items():
+                if track:
+                    assert cut_value(g, w.side) == w.value == cuts.value(t)
+                else:
+                    assert w is None
+    assert all(v == values[0] for v in values)
+    assert all(math.isfinite(v) for v in values[0].values())
+    assert totals[0] == totals[1]
 
 
 def _leaf_tree(verts, rng):
