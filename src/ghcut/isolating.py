@@ -3,17 +3,18 @@
 Given g >= 2 disjoint groups, computes for every group the minimum-weight
 cut separating it from all other groups, using ceil(log2 g) bipartition
 max-flows to localise each group's region followed by one max-flow per
-group inside its region.  Each reported side is the unique minimal optimal
-one (the residual-reachability side nearest the group), so the sides are
-pairwise disjoint.
+group against everything outside its region, all on `g` with the vertex
+sets merged.  Each reported side is the unique minimal optimal one (the
+residual-reachability side nearest the group), so the sides are pairwise
+disjoint.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Cut, Graph, contract
-from .maxflow import max_flow
+from .graph import Cut, Graph
+from .maxflow import _merged_flow
 
 
 @dataclass(frozen=True)
@@ -45,31 +46,23 @@ def isolating_cuts(g: Graph, groups: Sequence[Iterable[int]]) -> list[GroupCut]:
                 raise ValueError(f"groups overlap on vertex {v}")
             seen.add(v)
 
-    quotient, cmap = contract(g, gsets)
-    anchors = [cmap.forward[min(grp)] for grp in gsets]
-    all_q = frozenset(range(quotient.n))
+    everything = frozenset(range(g.n))
 
     # Localisation: for every index bit, one max-flow separating the groups
     # whose indices have the bit clear from those with it set.  Each group's
     # region is the intersection of its sides of these cuts.
-    regions = [set(all_q) for _ in gsets]
+    regions = [everything] * len(gsets)
     nbits = (len(gsets) - 1).bit_length()
     for bit in range(nbits):
-        zeros = frozenset(anchors[i] for i in range(len(gsets)) if not (i >> bit) & 1)
-        ones = frozenset(anchors[i] for i in range(len(gsets)) if (i >> bit) & 1)
-        split, smap = contract(quotient, [zeros, ones])
-        res = max_flow(split, smap.forward[min(zeros)], smap.forward[min(ones)])
-        one_side = smap.lift_side(res.mincut.side)
-        zero_side = all_q - one_side
+        zeros = [v for i, grp in enumerate(gsets) if not (i >> bit) & 1 for v in grp]
+        ones = [v for i, grp in enumerate(gsets) if (i >> bit) & 1 for v in grp]
+        one_side = _merged_flow(g, zeros, ones).mincut.side
+        zero_side = everything - one_side
         for i in range(len(gsets)):
             regions[i] &= one_side if (i >> bit) & 1 else zero_side
 
     results: list[GroupCut] = []
-    for i, grp in enumerate(gsets):
-        outside = all_q - frozenset(regions[i])
-        local, lmap = contract(quotient, [outside])
-        res = max_flow(local, lmap.forward[anchors[i]], lmap.forward[min(outside)])
-        w_quotient = frozenset(range(local.n)) - res.mincut.side
-        side = cmap.lift_side(lmap.lift_side(w_quotient))
-        results.append(GroupCut(grp, side, res.value))
+    for grp, region in zip(gsets, regions):
+        res = _merged_flow(g, grp, everything - region)
+        results.append(GroupCut(grp, everything - res.mincut.side, res.value))
     return results

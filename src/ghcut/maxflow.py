@@ -2,8 +2,8 @@
 
 Undirected edges become paired residual arcs (arc i and arc i^1 are mutual
 reverses, both starting at the edge weight).  The arcs live in a
-`ResidualNetwork`, which is built from a graph and never mutated: each
-solve works on its own copy of the capacities, so one network can be
+`ResidualNetwork`, which is built from an edge list and never mutated:
+each solve works on its own copy of the capacities, so one network can be
 reused across flows and shared between threads.
 
 Who keeps a network: `max_flow` uses the one attached to the graph when
@@ -19,6 +19,10 @@ per n=72 call).  A cached graph sees about four flows, and a network on
 each one raised the `sst-guided` benchmark's peak memory by about 7% (22.5
 to 24.0 MB) without making it faster.
 
+Flows between vertex sets (`max_flow_multi`, `isolating_cuts`) build the
+network straight from the graph's edges, each set relabelled to its
+smallest vertex (`_merged_flow`), so the cut comes back in the graph's ids.
+
 Each phase's BFS stops as soon as the sink is labelled, since every vertex
 the phase can use is labelled by then; after an augmentation the DFS
 resumes from the first arc the push saturated rather than from the source.
@@ -26,14 +30,15 @@ The BFS that fails to reach the sink ends the solve, and the vertices it
 left unlabelled are the reported sink side: the vertices NOT reachable
 from the source in the final residual network.  Its complement is the
 unique minimal source side among minimum cuts, so the side does not depend
-on which maximum flow the solve found.
+on which maximum flow the solve found, nor on the order of the arcs or on
+parallel ones.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from typing import Collection, Iterable
 
-from .graph import ContractionMap, Cut, Graph, contract
+from .graph import Cut, Graph
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,7 @@ class FlowResult:
 
 
 class ResidualNetwork:
-    """A graph's residual arcs at zero flow, built once and never mutated.
+    """Residual arcs at zero flow, built once and never mutated.
 
     Edge i becomes arcs 2i and 2i+1, heads `to[2i] = v` and `to[2i+1] = u`,
     both with capacity `cap0` equal to the edge weight; `adj[v]` lists the
@@ -55,16 +60,16 @@ class ResidualNetwork:
 
     __slots__ = ("n", "to", "cap0", "adj")
 
-    def __init__(self, g: Graph):
-        adj: list[list[int]] = [[] for _ in range(g.n)]
+    def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
+        adj: list[list[int]] = [[] for _ in range(n)]
         to: list[int] = []
         cap0: list[int] = []
-        for u, v, w in g.edges:
+        for u, v, w in edges:
             adj[u].append(len(to))
             adj[v].append(len(to) + 1)
             to += (v, u)
             cap0 += (w, w)
-        self.n = g.n
+        self.n = n
         self.to = to
         self.cap0 = cap0
         self.adj = adj
@@ -74,7 +79,7 @@ def attach_network(g: Graph) -> ResidualNetwork:
     """Build g's residual network once and keep it on g for later flows."""
     net = g._net
     if net is None:
-        net = g._net = ResidualNetwork(g)
+        net = g._net = ResidualNetwork(g.n, g.edges)
     return net
 
 
@@ -154,48 +159,47 @@ def max_flow(g: Graph, s: int, t: int) -> FlowResult:
         raise ValueError(f"terminal out of range: s={s}, t={t}, n={g.n}")
     if s == t:
         raise ValueError("source and sink must differ")
-    # Contraction drives most recursive calls down to two or three vertices,
-    # where the minimal source side has a closed form; skip the solver there.
-    if g.n == 2:
-        value = g.edges[0][2] if g.edges else 0
-        return FlowResult(value, Cut(frozenset((t,)), value))
-    if g.n == 3:
-        x = 3 - s - t
-        a = b = c = 0
-        for u, v, w in g.edges:
-            if {u, v} == {s, t}:
-                a = w
-            elif {u, v} == {s, x}:
-                b = w
-            else:
-                c = w
-        value = a + min(b, c)
-        side = frozenset((t,)) if c < b else frozenset((t, x))
-        return FlowResult(value, Cut(side, value))
     net = g._net
     if net is None:
-        net = ResidualNetwork(g)
+        net = ResidualNetwork(g.n, g.edges)
     value, level = _dinic(net, s, t)
     side = frozenset(v for v in range(g.n) if level[v] < 0)
+    return FlowResult(value, Cut(side, value))
+
+
+def _merged_flow(g: Graph, sources: Collection[int], sinks: Collection[int]) -> FlowResult:
+    """Minimum cut of `g` between two disjoint nonempty vertex sets, each
+    merged into one node; self-loops are skipped, parallel arcs kept."""
+    label = list(range(g.n))
+    s, t = min(sources), min(sinks)
+    for v in sources:
+        label[v] = s
+    for v in sinks:
+        label[v] = t
+    net = ResidualNetwork(g.n, ((label[u], label[v], w) for u, v, w in g.edges
+                                if label[u] != label[v]))
+    value, level = _dinic(net, s, t)
+    side = frozenset(v for v in range(g.n) if level[label[v]] < 0)
     return FlowResult(value, Cut(side, value))
 
 
 def max_flow_multi(g: Graph, s: int, sinks) -> FlowResult:
     """Minimum cut separating s from every vertex in `sinks` at once.
 
-    Equivalent to contracting `sinks` to one vertex; the cut is lifted back
-    to original vertex ids.
+    Equivalent to merging `sinks` into one vertex; the cut is in g's ids.
     """
     if type(s) is not int:
         raise ValueError(f"source must be an integer, got {s!r}")
     if not 0 <= s < g.n:
         raise ValueError(f"terminal out of range: s={s}, n={g.n}")
-    sink_set = frozenset(sinks)
-    if not sink_set:
+    sinks = list(sinks)
+    if not sinks:
         raise ValueError("need at least one sink")
-    if s in sink_set:
+    for v in sinks:
+        if type(v) is not int:
+            raise ValueError(f"sink {v!r} is not an integer")
+        if not 0 <= v < g.n:
+            raise ValueError(f"sink out of range: {v}, n={g.n}")
+    if s in sinks:
         raise ValueError("source may not be a sink")
-    quotient, cmap = contract(g, [sink_set])
-    res = max_flow(quotient, cmap.forward[s], cmap.forward[min(sink_set)])
-    side = cmap.lift_side(res.mincut.side)
-    return FlowResult(res.value, Cut(side, res.value))
+    return _merged_flow(g, (s,), sinks)

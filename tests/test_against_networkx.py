@@ -1,17 +1,17 @@
 """Differential checks against networkx, past the brute-force oracles' reach.
 
 The oracles enumerate cuts and stop at about 16 vertices; here max flows,
-isolating cuts and Gomory-Hu trees are compared with networkx's own flow
-code on random graphs of up to 80 vertices.  Graphs are drawn from a seeded
-rng in the test, not from the library's generators, and may be
-disconnected.
+multi-sink flows, isolating cuts and Gomory-Hu trees are compared with
+networkx's own flow code on random graphs of up to 80 vertices.  Graphs
+are drawn from a seeded rng in the test, not from the library's
+generators, and may be disconnected.
 """
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghcut import Graph, build_gusfield, isolating_cuts, max_flow
+from ghcut import Graph, build_gusfield, isolating_cuts, max_flow, max_flow_multi
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.flow import preflow_push  # noqa: E402
@@ -61,6 +61,21 @@ def test_max_flow_value_and_side(n, seed):
     s, t = rng.sample(range(n), 2)
     res = max_flow(g, s, t)
     value, source_side = residual_source_side(to_nx(g), s, t)
+    assert res.value == res.mincut.value == value
+    assert res.mincut.side == frozenset(range(n)) - source_side
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 80), seed=st.integers(0, 2**32), data=st.data())
+def test_max_flow_multi_value_and_side(n, seed, data):
+    g, rng = random_graph(n, seed)
+    count = data.draw(st.integers(1, min(8, n - 1)))
+    s, *sinks = rng.sample(range(n), count + 1)
+    res = max_flow_multi(g, s, sinks)
+    # edges without a capacity are infinite in networkx
+    h = to_nx(g)
+    h.add_edges_from((v, "sink") for v in sinks)
+    value, source_side = residual_source_side(h, s, "sink")
     assert res.value == res.mincut.value == value
     assert res.mincut.side == frozenset(range(n)) - source_side
 
