@@ -23,9 +23,17 @@ Flows between vertex sets (`max_flow_multi`, `isolating_cuts`) build the
 network straight from the graph's edges, each set relabelled to its
 smallest vertex (`_merged_flow`), so the cut comes back in the graph's ids.
 
-Each phase's BFS stops as soon as the sink is labelled, since every vertex
-the phase can use is labelled by then; after an augmentation the DFS
-resumes from the first arc the push saturated rather than from the source.
+Each phase's BFS stops as soon as the sink is labelled, at some level L,
+since every vertex the phase can use is labelled by then.  Before its DFS
+the phase hides two kinds of dead end by setting their level to -1: every
+other vertex at level L, which has no level L+1 to go on to, and every
+vertex at level L-1 with no residual arc into the sink.  A push only adds
+residual capacity on arcs that go down a level, so no hidden vertex gains
+a way on within the phase.  Hiding saves the DFS entering, scanning and
+leaving each of them, and since a dead end lies on no path, the DFS finds
+the augmenting paths it would find without the hiding, in the same order.
+After an augmentation the DFS resumes from the first arc the push
+saturated rather than from the source.
 The BFS that fails to reach the sink ends the solve, and the vertices it
 left unlabelled are the reported sink side: the vertices NOT reachable
 from the source in the final residual network.  Its complement is the
@@ -108,6 +116,19 @@ def _dinic(net: ResidualNetwork, s: int, t: int) -> tuple[int, list[int]]:
                 break
         else:
             return flow, level
+        # hide the dead ends at the sink's level lt and at lt-1: the tail
+        # of the queue, back to the first vertex below lt-1
+        lt = level[t]
+        into_t = {to[a] for a in adj[t] if cap[a ^ 1]}
+        k = len(queue) - 1
+        while level[queue[k]] == lt:
+            level[queue[k]] = -1
+            k -= 1
+        level[t] = lt  # hidden with the rest of its level
+        while k >= 0 and level[queue[k]] == lt - 1:
+            if queue[k] not in into_t:
+                level[queue[k]] = -1
+            k -= 1
         it = [0] * n
         path: list[int] = []
         v = s

@@ -16,6 +16,7 @@ from ghcut import (
     Cut,
     GENERATOR_KINDS,
     Graph,
+    RecursionStats,
     brute_isolating_cuts,
     brute_leaf_respecting_min_cut,
     brute_min_cut,
@@ -86,10 +87,13 @@ def test_criterion_2_isolating_cuts_exact_and_minimal():
 def _sandwich_battery(leaf):
     """Shared protocol for the two guided-search criteria.
 
-    Returns (clean run counts per coefficient, worst run time).
+    Returns (clean run counts per coefficient, worst run time, largest
+    `RecursionStats` totals of any one run).  The totals are fixed by the
+    seeds, so they bound each run's work without the clock.
     """
     clean = {3.0: 0, 6.0: 0}
     worst = 0.0
+    most = dict.fromkeys(("calls", "vertices", "tree_vertices", "edges"), 0)
     for i in range(200):
         rng = random.Random(f"acc{'4' if leaf else '3'}|{i}")
         n = rng.randint(5, 12)
@@ -117,35 +121,49 @@ def _sandwich_battery(leaf):
         lo = {t: brute_min_cut(g, s, t).value for t in rest}
         for coeff in (3.0, 6.0):
             cuts = CandidateCuts([])
+            stats = RecursionStats()
             t0 = time.perf_counter()
             if leaf:
-                leaf_mincuts(g, tr, k, cuts, f"run|{i}|{coeff}",
+                leaf_mincuts(g, tr, k, cuts, f"run|{i}|{coeff}", stats,
                              reps_coeff=coeff)
             else:
-                tree_mincuts(g, tr, k, cuts, f"run|{i}|{coeff}",
+                tree_mincuts(g, tr, k, cuts, f"run|{i}|{coeff}", stats,
                              reps_coeff=coeff)
-            dt = time.perf_counter() - t0
-            worst = max(worst, dt)
-            assert dt < 1.0, f"instance {i} at coeff {coeff}: {dt:.2f}s"
+            worst = max(worst, time.perf_counter() - t0)
+            for key, value in stats.totals().items():
+                most[key] = max(most[key], value)
             for t in rest:
                 assert cuts.value(t) >= lo[t], (i, coeff, t)
             if all(cuts.value(t) <= hi[t] for t in rest):
                 clean[coeff] += 1
-    return clean, worst
+    return clean, worst, most
+
+
+# Largest `RecursionStats` totals of any one run of each battery, as
+# measured when they replaced a wall-clock bound: a run that does more
+# recursive work than this fails, however fast the machine.
+SANDWICH_MAX_TOTALS = {
+    "tree": {"calls": 16575, "vertices": 147312, "tree_vertices": 77026, "edges": 620245},
+    "leaf": {"calls": 13666, "vertices": 123162, "tree_vertices": 77849, "edges": 303422},
+}
 
 
 def test_criterion_3_tree_search_sandwich():
-    clean, worst = _sandwich_battery(leaf=False)
+    clean, worst, most = _sandwich_battery(leaf=False)
     assert clean[3.0] >= 190, f"default reps: {clean[3.0]}/200 clean"
     assert clean[6.0] == 200, f"doubled reps: {clean[6.0]}/200 clean"
+    for key, bound in SANDWICH_MAX_TOTALS["tree"].items():
+        assert most[key] <= bound, f"a run's {key} total {most[key]} exceeds {bound}"
     print(f"criterion 3: PASS  lower bound 100%, upper {clean[3.0]}/200 "
           f"default and {clean[6.0]}/200 doubled, worst run {worst:.2f}s")
 
 
 def test_criterion_4_leaf_search_sandwich():
-    clean, worst = _sandwich_battery(leaf=True)
+    clean, worst, most = _sandwich_battery(leaf=True)
     assert clean[3.0] >= 190, f"default reps: {clean[3.0]}/200 clean"
     assert clean[6.0] == 200, f"doubled reps: {clean[6.0]}/200 clean"
+    for key, bound in SANDWICH_MAX_TOTALS["leaf"].items():
+        assert most[key] <= bound, f"a run's {key} total {most[key]} exceeds {bound}"
     print(f"criterion 4: PASS  lower bound 100%, upper {clean[3.0]}/200 "
           f"default and {clean[6.0]}/200 doubled, worst run {worst:.2f}s")
 

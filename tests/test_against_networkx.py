@@ -5,13 +5,19 @@ multi-sink flows, isolating cuts and Gomory-Hu trees are compared with
 networkx's own flow code on random graphs of up to 80 vertices.  Graphs
 are drawn from a seeded rng in the test, not from the library's
 generators, and may be disconnected.
+
+The layered graphs at the end are shaped around the solver's phases: each
+phase hides the vertices at the sink's BFS level and the ones just below
+it that have no residual arc into the sink, so they give the sink a wide
+level, few ways in, the source as its neighbour, and merged sinks reached
+by parallel arcs, with unit weights and with weights near `WEIGHT_CAP`.
 """
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghcut import Graph, build_gusfield, isolating_cuts, max_flow, max_flow_multi
+from ghcut import WEIGHT_CAP, Graph, build_gusfield, isolating_cuts, max_flow, max_flow_multi
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.flow import preflow_push  # noqa: E402
@@ -113,3 +119,84 @@ def test_build_gusfield_all_pairs_against_gomory_hu_tree(n, seed):
             path = paths[b]
             expected = min(ref[u][v]["weight"] for u, v in zip(path, path[1:]))
             assert tree.query(a, b) == expected
+
+
+# name: (layer widths, index of the sink's layer, vertices of the layer
+# below the sink's that have an edge to the sink)
+SHAPES = {
+    "wide sink level": ((1, 4, 6, 40, 5), 3, 2),
+    "one way into the sink": ((1, 3, 25, 8), 3, 1),
+    "source next to sink": ((1, 30, 10), 1, 1),
+    "long and narrow": ((1, 2, 2, 2, 2, 20, 3), 5, 1),
+}
+WEIGHTS = ("unit", "small", "near cap")
+
+
+def layered_graph(shape, weights, seed):
+    """Graph on layers of the given widths, with edges inside a layer and
+    between neighbouring ones; every vertex has a neighbour one layer up,
+    so its layer is its distance from the source, layer 0's only vertex.
+    Returns the graph, the source, the sink (first of its layer) and the
+    layers."""
+    widths, sink_layer, links = SHAPES[shape]
+    rng = random.Random(f"layered|{shape}|{weights}|{seed}")
+    layers, n = [], 0
+    for width in widths:
+        layers.append(list(range(n, n + width)))
+        n += width
+    s, t = layers[0][0], layers[sink_layer][0]
+    pairs = set()
+    for up, layer in zip(layers, layers[1:]):
+        for v in layer:
+            if v != t:
+                pairs.update((u, v) for u in rng.sample(up, rng.randint(1, min(3, len(up)))))
+        if len(layer) > 1:
+            pairs.update(tuple(sorted(rng.sample(layer, 2))) for _ in range(len(layer)))
+    pairs.update((u, t) for u in rng.sample(layers[sink_layer - 1], links))
+    if weights == "unit":
+        edges = [(u, v, 1) for u, v in sorted(pairs)]
+    elif weights == "small":
+        edges = [(u, v, rng.randint(1, 20)) for u, v in sorted(pairs)]
+    else:
+        # the total stays just under the cap
+        big = (WEIGHT_CAP - 1) // len(pairs)
+        edges = [(u, v, rng.randint(big - 1000, big)) for u, v in sorted(pairs)]
+    return Graph(n, edges), s, t, layers
+
+
+@pytest.mark.parametrize("weights", WEIGHTS)
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_max_flow_on_layered_graphs(shape, weights):
+    for seed in range(10):
+        g, s, t, _ = layered_graph(shape, weights, seed)
+        res = max_flow(g, s, t)
+        value, source_side = residual_source_side(to_nx(g), s, t)
+        assert res.value == res.mincut.value == value, seed
+        assert res.mincut.side == frozenset(range(g.n)) - source_side, seed
+
+
+@pytest.mark.parametrize("weights", WEIGHTS)
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_merged_sinks_on_layered_graphs(shape, weights):
+    for seed in range(10):
+        g, s, t, layers = layered_graph(shape, weights, seed)
+        rng = random.Random(f"merged|{shape}|{weights}|{seed}")
+        sink_layer = SHAPES[shape][1]
+        # sinks sharing neighbours give the merged sink parallel arcs
+        sinks = [t] + rng.sample(layers[sink_layer][1:], min(5, len(layers[sink_layer]) - 1))
+        res = max_flow_multi(g, s, sinks)
+        h = to_nx(g)
+        h.add_edges_from((v, "sink") for v in sinks)
+        value, source_side = residual_source_side(h, s, "sink")
+        assert res.value == res.mincut.value == value, seed
+        assert res.mincut.side == frozenset(range(g.n)) - source_side, seed
+
+        others = [v for v in range(g.n) if v != s and v not in sinks]
+        groups = [frozenset([s]), frozenset(sinks), frozenset(rng.sample(others, 2))]
+        for i, gc in enumerate(isolating_cuts(g, groups)):
+            h = to_nx(g)
+            h.add_edges_from(("src", v) for v in groups[i])
+            h.add_edges_from((v, "sink") for j, grp in enumerate(groups) if j != i for v in grp)
+            value, source_side = residual_source_side(h, "src", "sink")
+            assert gc.value == value, (seed, i)
+            assert gc.side == frozenset(source_side - {"src"}), (seed, i)
