@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from .graph import ContractionMap, Cut, Graph, contract
@@ -141,7 +141,8 @@ class RecursionStats:
 # `_child` keeps its answer under (procedure, child graph, child tree,
 # supernodes) and merges a repeat from there without recursing.  The answer
 # is kept compact: the finite entries of the child's table with witness
-# sides as int bitmasks, and the `RecursionStats` rows its subtree added.
+# sides as int bitmasks, and, when stats are kept, the child's own
+# `RecursionStats`, which every visit adds to the caller's.
 # Everything the cache holds is dropped when the top-level call returns.
 
 
@@ -237,24 +238,26 @@ def _isolate(cfg: _Cfg, g: Graph, s: int, groups: Sequence[frozenset[int]],
 
 def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
            cfg: _Cfg, contracted: frozenset[int], merge: Iterable[int],
-           keep: set[int], pivot: int,
-           extra: Sequence[tuple[int, int]] = ()) -> None:
+           keep: set[int], extra: Sequence[tuple[int, int]] = ()) -> None:
     """Recurse at budget k on `g` with `merge` contracted to one node.
 
     The child tree is the subtree induced on `keep`, plus the `extra`
     edges, mapped to quotient ids, with the source's image as its source.
-    Results are lifted back into `cuts`; the node holding `pivot` reports
-    as `pivot`, so a supernode that stands in for a real vertex keeps its
-    identity.  A budget-1 child that repeats within the call is answered
-    from the memo (see the cache notes above).
+    `keep` and `merge` share exactly one vertex, the centroid, so every
+    child terminal is the image of exactly one vertex of `keep`, and its
+    result is lifted back onto that vertex; only results that improve the
+    parent's value are lifted, as the others would be refused anyway.  A
+    budget-1 child that repeats within the call is answered from the memo
+    (see the cache notes above).
     """
     # memoised like every flow and isolating call; the merged set is keyed
     # as a bitmask of its vertices
-    child_g, cm, sole = _cached(cfg, _quotient, g, sum(1 << v for v in merge))
+    child_g, cm = _cached(cfg, _quotient, g, sum(1 << v for v in merge))
     f = cm.forward
+    back = {f[v]: v for v in keep}
     edges = [(f[u], f[v]) for u, v in tree.edges if u in keep and v in keep]
     edges.extend((f[u], f[v]) for u, v in extra)
-    child_tree = SteinerTree({f[v] for v in keep}, edges, f[tree.source])
+    child_tree = SteinerTree(back, edges, f[tree.source])
     stats = cfg.stats
     # supernodes are only needed to count live edges
     if stats is not None:
@@ -264,19 +267,27 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: 
     if answer is None:
         view = CandidateCuts((v for v in child_tree.vertices if v != child_tree.source),
                              cuts.track_witnesses)
-        before = None
-        if stats is not None:
-            before = {row_key: tuple(row) for row_key, row in stats.rows.items()}
-        rec(child_g, child_tree, k, view, seed, cfg, contracted)
-        answer = (_entries(view), None if stats is None else _rows_since(stats, before))
-        if k == 1:
-            cfg.cache[key] = answer
-    elif stats is not None:
-        for row_key, delta in answer[1]:
-            row = stats.rows.setdefault(row_key, [0, 0, 0, 0])
-            for i, d in enumerate(delta):
-                row[i] += d
-    _merge_child(cuts, answer[0], cm, sole, pivot)
+        if k > 1:
+            rec(child_g, child_tree, k, view, seed, cfg, contracted)
+            answer = (_entries(view), None)
+        else:
+            # counted apart, so that every visit can add the same rows
+            own = None if stats is None else RecursionStats()
+            rec(child_g, child_tree, k, view, seed, replace(cfg, stats=own), contracted)
+            answer = cfg.cache[key] = (_entries(view), own)
+    entries, own = answer
+    if own is not None:
+        for row_key, row in own.rows.items():
+            total = stats.rows.setdefault(row_key, [0, 0, 0, 0])
+            for i, x in enumerate(row):
+                total[i] += x
+    best = cuts.values
+    for q, val, mask in entries:
+        v = back[q]
+        if val < best[v]:
+            lifted = None if mask is None else Cut(
+                cm.lift_side(i for i in range(child_g.n) if mask >> i & 1), val)
+            cuts.offer(v, val, lifted)
 
 
 def _entries(view: CandidateCuts) -> tuple[tuple[int, int, int | None], ...]:
@@ -287,52 +298,19 @@ def _entries(view: CandidateCuts) -> tuple[tuple[int, int, int | None], ...]:
                  for q, val in view.values.items() if val != math.inf)
 
 
-def _rows_since(stats: RecursionStats, before: dict) -> tuple:
-    """The rows `stats` gained since the snapshot `before`, as
-    (key, per-column increments)."""
-    zero = (0, 0, 0, 0)
-    out = []
-    for key, row in stats.rows.items():
-        old = before.get(key, zero)
-        if row[0] != old[0]:
-            out.append((key, tuple(a - b for a, b in zip(row, old))))
-    return tuple(out)
+def _quotient(g: Graph, mask: int) -> tuple[Graph, ContractionMap]:
+    """`g` with the vertices of bitmask `mask` merged into one node, and
+    its map."""
+    return contract(g, [[v for v in range(g.n) if mask >> v & 1]])
 
 
-def _quotient(g: Graph, mask: int) -> tuple[Graph, ContractionMap, tuple[int, ...]]:
-    """`g` with the vertices of bitmask `mask` merged into one node, its
-    map, and `sole[q]`: the one original vertex of node q, or -1."""
-    child_g, cm = contract(g, [[v for v in range(g.n) if mask >> v & 1]])
-    sole = tuple(p[0] if len(p) == 1 else -1 for p in cm.preimage_lists())
-    return child_g, cm, sole
-
-
-def _merge_child(cuts: CandidateCuts, entries: Sequence[tuple[int, int, int | None]],
-                 cm: ContractionMap, sole: tuple[int, ...], pivot: int) -> None:
-    """Lift a contracted child's entries (see `_entries`) into the parent
-    table.
-
-    A child terminal that is the image of a single original vertex lands on
-    that vertex, and the image of `pivot` lands on `pivot`; any other
-    supernode result is dropped.  Only results that improve the parent's
-    value are lifted: the others would be refused anyway.
-    """
-    q_pivot = cm.forward[pivot]
-    best = cuts.values
-    for q, val, mask in entries:
-        target = pivot if q == q_pivot else sole[q]
-        # an unknown target reads -1, which no value improves on
-        if target < 0 or val >= best.get(target, -1):
-            continue
-        # the bits of the mask, lowest first, are the quotient side
-        lifted = None if mask is None else Cut(
-            cm.lift_side(i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1"), val)
-        cuts.offer(target, val, lifted)
-
-
-def _validate(g: Graph, tree: SteinerTree, k: int) -> None:
+def _validate(g: Graph, tree: SteinerTree, k: int, reps_coeff: float) -> None:
     if type(k) is not int or k < 0:
         raise ValueError(f"crossing budget k must be a non-negative integer, got {k!r}")
+    # checked at every k, though only pruning rounds (k > 1) read it
+    if (isinstance(reps_coeff, bool) or not isinstance(reps_coeff, (int, float))
+            or not 0 < reps_coeff < math.inf):
+        raise ValueError(f"reps_coeff must be a positive finite number, got {reps_coeff!r}")
     if tree.vertices[0] < 0 or tree.vertices[-1] >= g.n:
         raise ValueError("tree vertices leave the graph's vertex range")
 
@@ -356,7 +334,7 @@ def tree_mincuts(
     per level; `stats`, when given, accumulates per-level call totals.
     With `stats=None` no per-call bookkeeping is done.
     """
-    _validate(g, tree, k)
+    _validate(g, tree, k, reps_coeff)
     cuts.ensure(v for v in tree.vertices if v != tree.source)
     _tree_rec(g, tree, k, cuts, _seed_string(rng), _Cfg(reps_coeff, stats), frozenset())
 
@@ -378,7 +356,7 @@ def leaf_mincuts(
     crosses at most k tree edges, one of them being the source's edge.
     As there, `stats=None` does no per-call bookkeeping.
     """
-    _validate(g, tree, k)
+    _validate(g, tree, k, reps_coeff)
     if tree.degree(tree.source) != 1:
         raise ValueError("the leaf variant needs the source to be a tree leaf")
     cuts.ensure(v for v in tree.vertices if v != tree.source)
@@ -439,7 +417,7 @@ def _tree_rec(
     everything = frozenset(range(g.n))
     for j, (side, gc) in enumerate(zip(sides, side_cuts), start=first - parts_at):
         _child(_tree_rec, g, tree, k, cuts, f"{seed}/i{j}", cfg, contracted,
-               everything - gc.side, side | {c}, c)
+               everything - gc.side, side | {c})
     if c == s:
         return
 
@@ -451,7 +429,7 @@ def _tree_rec(
     keep = {s, c} | dec.forest | trunk_inner
     if len(keep) < tree.size:
         merge = frozenset((c,)).union(*(gc.side for gc in side_cuts))
-        _child(_tree_rec, g, tree, k, cuts, f"{seed}/y", cfg, contracted, merge, keep, c)
+        _child(_tree_rec, g, tree, k, cuts, f"{seed}/y", cfg, contracted, merge, keep)
 
     # Reduced tree: drop the forest and the trunk interior, reattach the
     # source directly at the centroid.  The leaf variant hunts cuts through
@@ -507,7 +485,7 @@ def _leaf_rec(
     keep = {s, c} | own_branch
     if own_branch and len(keep) < tree.size:
         merge = frozenset((c,)).union(*(gc.side for gc in side_cuts))
-        _child(_leaf_rec, g, tree, k, cuts, f"{seed}/y", cfg, contracted, merge, keep, c)
+        _child(_leaf_rec, g, tree, k, cuts, f"{seed}/y", cfg, contracted, merge, keep)
 
     # One exact cut from the source to everything at or beyond the
     # centroid; its value is shared by all those terminals at once.
@@ -530,7 +508,7 @@ def _leaf_rec(
         part = sides[i_star]
         if len(merge) > 1 or len(part) + 2 < tree.size:
             _child(_leaf_rec, g, tree, k, cuts, f"{seed}/z", cfg, contracted,
-                   merge, part | {s, c}, c, _source_edge(tree, c))
+                   merge, part | {s, c}, _source_edge(tree, c))
 
 
 def sstcv_verify(
@@ -558,11 +536,7 @@ def sstcv_verify(
     """
     if type(s) is not int:
         raise ValueError(f"source must be an integer, got {s!r}")
-    tset = set(terminals)
-    for t in tset:
-        if type(t) is not int:
-            raise ValueError(f"terminal {t!r} is not an integer")
-    tset = sorted(tset - {s})
+    tset = sorted(set(_terminal_ids(terminals)) - {s})
     if not tset:
         raise ValueError("need at least one terminal besides the source")
     if not guide_trees:

@@ -125,6 +125,18 @@ def test_tree_mincuts_witnesses_and_stats_file(capsys, workspace):
     assert "tree" in dumped["per_level"]
 
 
+@pytest.mark.parametrize("coeff", ["inf", "nan", "-1"])
+def test_bad_reps_coeff_exits_two(capsys, workspace, coeff):
+    # --reps-coeff inf used to end in an OverflowError traceback
+    _, gpath, _, tpath, _ = workspace
+    code, out, err = run_cli(
+        capsys, ["tree-mincuts", gpath, tpath, "--k", "2", f"--reps-coeff={coeff}"]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: reps_coeff must be a positive finite number")
+    assert "Traceback" not in err
+
+
 def test_leaf_mincuts_rejects_non_leaf_source(capsys, workspace):
     g, gpath, tr, tpath, tmp = workspace
     # the fixture tree may or may not have a leaf source; build one that

@@ -7,6 +7,7 @@ rates over fixed seeds rather than per-run guarantees.
 """
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -23,6 +24,7 @@ from ghcut import (
     brute_min_cut,
     brute_respecting_min_cut,
     cut_value,
+    decompose,
     generate,
     leaf_mincuts,
     random_spanning_tree,
@@ -30,6 +32,7 @@ from ghcut import (
     sstcv_verify,
     tree_mincuts,
 )
+from ghcut.cli import bench_recursion
 
 
 def tree_instance(inst, leaf_source=False):
@@ -351,6 +354,36 @@ def test_budget_must_be_an_integer(search, bad):
             sstcv_verify(g, [3], 0, {3: 2}, [tr], bad, "x")
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0, 0.0, -1.0, True, "3", None])
+@pytest.mark.parametrize("search", ["tree", "leaf", "sstcv", "bench"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_reps_coeff_must_be_positive_and_finite(k, search, bad):
+    # inf used to raise OverflowError and nan, "3" or None a TypeError or
+    # a float conversion error, -1.0 silently ran one round, and at k=1
+    # nothing was checked at all
+    g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+    tr = SteinerTree(range(4), ((0, 1), (1, 2), (2, 3)), 0)
+    message = f"reps_coeff must be a positive finite number, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if search == "tree":
+            tree_mincuts(g, tr, k, CandidateCuts([]), "x", reps_coeff=bad)
+        elif search == "leaf":
+            leaf_mincuts(g, tr, k, CandidateCuts([]), "x", reps_coeff=bad)
+        elif search == "sstcv":
+            sstcv_verify(g, [3], 0, {3: 2}, [tr], k, "x", reps_coeff=bad)
+        else:
+            bench_recursion([8], k, [0], bad)
+
+
+@pytest.mark.parametrize("coeff", [1, 0.5, 1e-9])
+def test_reps_coeff_accepts_positive_ints_and_floats(coeff):
+    g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+    tr = SteinerTree(range(4), ((0, 1), (1, 2), (2, 3)), 0)
+    cuts = CandidateCuts([])
+    leaf_mincuts(g, tr, 2, cuts, "x", reps_coeff=coeff)
+    assert cuts.values == {1: 2, 2: 2, 3: 2}
+
+
 @pytest.mark.parametrize("bad", ["2", 2.0, True, None])
 def test_sstcv_estimates_must_be_integers(bad):
     # an estimate of "2" used to be reported "loose" on this cycle
@@ -488,11 +521,11 @@ def test_centroid_side_terminals_leaf_regression():
 
 
 def test_children_are_contracted_once_per_call(monkeypatch):
-    # On a graph past 64 vertices, pruning rounds revisit the same children
-    # and repeat the same flows.  Each (parent graph, merged group) pair must
-    # be contracted only once per call, no flow, multi-sink flow or
-    # isolating call may repeat its (graph, arguments), and the memo must
-    # not change what the search finds.
+    # Pruning rounds revisit the same children and repeat the same flows.
+    # Each (parent graph, merged group) pair must be contracted only once
+    # per call, no flow, multi-sink flow or isolating call may repeat its
+    # (graph, arguments), and the memo must not change what the search
+    # finds.
     g = generate("erdos-renyi-weighted", 70, seed=70)
     tr = random_spanning_tree(g, 0, random.Random("memo|70"))
     real_contract, real_child = treemincuts.contract, treemincuts._child
@@ -528,13 +561,39 @@ def test_children_are_contracted_once_per_call(monkeypatch):
         assert len(set(calls)) == len(calls)
         # the instance does repeat children, and the isolating and
         # multi-sink calls run on the full graph too, so the memo is
-        # exercised past 64 vertices
+        # exercised at the input's own size
         assert children[0] > len(pairs) > 0
         for name in wrapped:
             assert any(c[0] == name for c in calls), name
         assert {c[0] for c in calls if c[1] == g.n} == {"isolating_cuts", "max_flow_multi"}
         outputs.append((cuts.values, cuts.witnesses))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("leaf", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_children_keep_only_the_centroid_of_the_merged_set(monkeypatch, k, leaf):
+    # `_child` lifts each child terminal back onto the one kept vertex that
+    # maps to it, which needs every call's kept and merged sets to share
+    # exactly one vertex: the centroid of the tree being split.
+    rng = random.Random(f"overlap|{k}|{leaf}")
+    n = 40
+    g = generate("erdos-renyi-weighted", n, seed=40 + k)
+    verts = rng.sample(range(n), 30)
+    tr = _leaf_tree(verts, rng) if leaf else random_steiner_tree(verts, verts[0], rng)
+    real_child = treemincuts._child
+    shared = []
+
+    def checked_child(rec, h, tree, k, cuts, seed, cfg, contracted, merge, keep, *extra):
+        shared.append((set(merge) & set(keep), decompose(tree).centroid))
+        return real_child(rec, h, tree, k, cuts, seed, cfg, contracted, merge, keep, *extra)
+
+    monkeypatch.setattr(treemincuts, "_child", checked_child)
+    fn = leaf_mincuts if leaf else tree_mincuts
+    fn(g, tr, k, CandidateCuts([]), "overlap", RecursionStats(), reps_coeff=1.0)
+    assert shared
+    for both, c in shared:
+        assert both == {c}
 
 
 def test_budget_one_children_run_once_per_call(monkeypatch):
