@@ -152,14 +152,6 @@ class ContractionMap:
 
     forward: tuple[int, ...]
     contracted_nodes: frozenset[int]
-    n_quotient: int
-
-    def preimage_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Original vertices of each quotient vertex, as sorted tuples."""
-        buckets: list[list[int]] = [[] for _ in range(self.n_quotient)]
-        for v, q in enumerate(self.forward):
-            buckets[q].append(v)
-        return tuple(tuple(b) for b in buckets)
 
     def lift_side(self, quotient_side: Iterable[int]) -> frozenset[int]:
         """Expand a quotient vertex set back to original vertex ids."""
@@ -167,16 +159,58 @@ class ContractionMap:
         return frozenset(v for v, q in enumerate(self.forward) if q in qs)
 
 
+def _check_pair(n: int, s: int, t: int) -> None:
+    """Refuse a terminal pair unless both are ints (bool refused) in [0, n)
+    and distinct."""
+    if type(s) is not int or type(t) is not int:
+        raise ValueError(f"terminals must be integers, got s={s!r}, t={t!r}")
+    if not (0 <= s < n and 0 <= t < n):
+        raise ValueError(f"terminal out of range: s={s}, t={t}, n={n}")
+    if s == t:
+        raise ValueError("terminals must differ")
+
+
+def _vertex_groups(
+    n: int, groups: Iterable[Iterable[int]], what: str
+) -> tuple[list[frozenset[int]], dict[int, int]]:
+    """Check that `groups` are nonempty, pairwise disjoint sets of int
+    vertex ids (bool refused) in [0, n).
+
+    Returns the groups as frozensets and the map from each grouped vertex
+    to its group's index.  Each raw element is checked before the frozenset
+    is made, so 1.0 or True is refused rather than merged into vertex 1.
+    `what` names the groups in the error messages.
+    """
+    gsets: list[frozenset[int]] = []
+    owner: dict[int, int] = {}
+    for i, grp in enumerate(groups):
+        if not isinstance(grp, (frozenset, set, list, tuple, range)):
+            grp = tuple(grp)  # walked twice below
+        for v in grp:
+            if type(v) is not int:
+                raise ValueError(f"{what} group contains non-integer vertex {v!r}")
+            if not (0 <= v < n):
+                raise ValueError(f"{what} group contains out-of-range vertex {v} for n={n}")
+            if owner.setdefault(v, i) != i:
+                raise ValueError(f"{what} groups overlap on vertex {v}")
+        gset = frozenset(grp)
+        if not gset:
+            raise ValueError(f"{what} group may not be empty")
+        gsets.append(gset)
+    return gsets, owner
+
+
 def cut_value(g: Graph, side: Iterable[int]) -> int:
     """Total weight of edges with exactly one endpoint in `side`."""
-    s = frozenset(side)
-    if not s or len(s) >= g.n:
-        raise InvalidCutError(f"cut side must be a proper nonempty subset, got {len(s)} of {g.n}")
-    for v in s:
+    side = tuple(side)  # checked before the set merges 1.0 or True into vertex 1
+    for v in side:
         if type(v) is not int:
             raise InvalidCutError(f"cut side contains non-integer vertex {v!r}")
         if not (0 <= v < g.n):
             raise InvalidCutError(f"cut side contains out-of-range vertex {v}")
+    s = frozenset(side)
+    if not s or len(s) >= g.n:
+        raise InvalidCutError(f"cut side must be a proper nonempty subset, got {len(s)} of {g.n}")
     return sum(w for u, v, w in g.edges if (u in s) != (v in s))
 
 
@@ -188,19 +222,7 @@ def contract(g: Graph, groups: Sequence[Iterable[int]]) -> tuple[Graph, Contract
     summed and self-loops dropped, so any cut of the quotient graph has
     exactly the weight of the corresponding cut of `g`.
     """
-    gsets = [frozenset(grp) for grp in groups]
-    owner: dict[int, int] = {}
-    for i, grp in enumerate(gsets):
-        if not grp:
-            raise ValueError("contraction group may not be empty")
-        for v in grp:
-            if type(v) is not int:
-                raise ValueError(f"contraction group contains non-integer vertex {v!r}")
-            if not (0 <= v < g.n):
-                raise ValueError(f"contraction group contains out-of-range vertex {v}")
-            if v in owner:
-                raise ValueError(f"contraction groups overlap on vertex {v}")
-            owner[v] = i
+    gsets, owner = _vertex_groups(g.n, groups, "contraction")
 
     forward = [-1] * g.n
     group_q = [-1] * len(gsets)
@@ -225,7 +247,7 @@ def contract(g: Graph, groups: Sequence[Iterable[int]]) -> tuple[Graph, Contract
         acc[key] = acc.get(key, 0) + w
     quotient = Graph._from_merged(nq, acc)
     contracted = frozenset(group_q[i] for i, grp in enumerate(gsets) if len(grp) >= 2)
-    return quotient, ContractionMap(tuple(forward), contracted, nq)
+    return quotient, ContractionMap(tuple(forward), contracted)
 
 
 def connected_components(g: Graph) -> list[list[int]]:

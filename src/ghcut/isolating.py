@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Cut, Graph
+from .graph import Cut, Graph, _vertex_groups
 from .maxflow import _merged_flow
 
 
@@ -30,21 +30,15 @@ class GroupCut:
 
 
 def isolating_cuts(g: Graph, groups: Sequence[Iterable[int]]) -> list[GroupCut]:
-    gsets = [frozenset(grp) for grp in groups]
+    """Minimal optimal isolating cut of each group, in the given order.
+
+    There must be at least two groups.  Each must be a nonempty set of int
+    vertex ids of `g` (bool refused), and no vertex may be in two groups;
+    vertices in no group may fall on any side.
+    """
+    gsets, _ = _vertex_groups(g.n, groups, "isolating")
     if len(gsets) < 2:
         raise ValueError(f"need at least 2 groups, got {len(gsets)}")
-    seen: set[int] = set()
-    for grp in gsets:
-        if not grp:
-            raise ValueError("isolating group may not be empty")
-        for v in grp:
-            if type(v) is not int:
-                raise ValueError(f"group vertex {v!r} is not an integer")
-            if not (0 <= v < g.n):
-                raise ValueError(f"group vertex {v} out of range for n={g.n}")
-            if v in seen:
-                raise ValueError(f"groups overlap on vertex {v}")
-            seen.add(v)
 
     everything = frozenset(range(g.n))
 

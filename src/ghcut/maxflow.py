@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable
 
-from .graph import Cut, Graph
+from .graph import Cut, Graph, _check_pair
 
 
 @dataclass(frozen=True)
@@ -174,12 +174,7 @@ def max_flow(g: Graph, s: int, t: int) -> FlowResult:
     side.  s == t is rejected.  Solves on the residual network attached to
     `g` when there is one (see `attach_network`), else on a throwaway one.
     """
-    if type(s) is not int or type(t) is not int:
-        raise ValueError(f"terminals must be integers, got s={s!r}, t={t!r}")
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError(f"terminal out of range: s={s}, t={t}, n={g.n}")
-    if s == t:
-        raise ValueError("source and sink must differ")
+    _check_pair(g.n, s, t)
     net = g._net
     if net is None:
         net = ResidualNetwork(g.n, g.edges)

@@ -8,7 +8,10 @@ below 16 vertices (14 for the per-group isolating variant).
 
 Enumeration walks subsets in Gray-code order so each step updates the cut
 value by one vertex flip; the visited family is still every subset exactly
-once.
+once.  Each oracle filters those steps by its own constraint and hands the
+rest to one collector, `_optimum`, which keeps the least value and every
+side achieving it.  Vertex ids, terminal pairs and groups go through the
+same checks as the library's own entry points.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .graph import Cut, Graph
+from .graph import Cut, Graph, _check_pair, _vertex_groups
 from .steiner import SteinerTree
 
 ORACLE_MAX_N = 16
@@ -100,16 +103,21 @@ def _gray_sides(
         yield value, crossings, inside
 
 
-def _collect(answers: list[frozenset[int]], best: float) -> tuple[Cut, ...]:
-    ordered = sorted(answers, key=lambda s: (len(s), tuple(sorted(s))))
-    return tuple(Cut(side, int(best)) for side in ordered)
-
-
-def _check_terminals(g: Graph, s: int, t: int) -> None:
-    if type(s) is not int or type(t) is not int or not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError(f"terminal out of range: s={s!r}, t={t!r}, n={g.n}")
-    if s == t:
-        raise ValueError("terminals must differ")
+def _optimum(n: int, steps: Iterable[tuple[int, list[bool]]]) -> OracleAnswer:
+    """The least value among `steps`, (cut value, membership) pairs, with
+    every side achieving it; `math.inf` and no witnesses when there are no
+    steps."""
+    best: float = math.inf
+    sides: list[frozenset[int]] = []
+    for value, inside in steps:
+        if value <= best:
+            side = frozenset(v for v in range(n) if inside[v])
+            if value < best:
+                best, sides = value, [side]
+            else:
+                sides.append(side)
+    sides.sort(key=lambda side: (len(side), tuple(sorted(side))))
+    return OracleAnswer(best, tuple(Cut(side, best) for side in sides))
 
 
 def _check_guide(g: Graph, tree: SteinerTree, t: int, k: int) -> None:
@@ -124,17 +132,9 @@ def _check_guide(g: Graph, tree: SteinerTree, t: int, k: int) -> None:
 def brute_min_cut(g: Graph, s: int, t: int) -> OracleAnswer:
     """Minimum (s, t)-cut by enumerating every side containing t but not s."""
     _guard(g.n, ORACLE_MAX_N)
-    _check_terminals(g, s, t)
+    _check_pair(g.n, s, t)
     free = [v for v in range(g.n) if v != s and v != t]
-    best: float = math.inf
-    sides: list[frozenset[int]] = []
-    for value, _, inside in _gray_sides(g, [t], free):
-        if value < best:
-            best = value
-            sides = [frozenset(v for v in range(g.n) if inside[v])]
-        elif value == best:
-            sides.append(frozenset(v for v in range(g.n) if inside[v]))
-    return OracleAnswer(int(best), _collect(sides, best))
+    return _optimum(g.n, ((value, inside) for value, _, inside in _gray_sides(g, [t], free)))
 
 
 def brute_respecting_min_cut(
@@ -146,22 +146,14 @@ def brute_respecting_min_cut(
     crossing budget.
     """
     _guard(g.n, ORACLE_MAX_N)
-    _check_terminals(g, s, t)
+    _check_pair(g.n, s, t)
     _check_guide(g, tree, t, k)
     free = [v for v in range(g.n) if v != s and v != t]
-    best: float = math.inf
-    sides: list[frozenset[int]] = []
-    for value, crossings, inside in _gray_sides(g, [t], free, tree.edges):
-        if crossings > k:
-            continue
-        if value < best:
-            best = value
-            sides = [frozenset(v for v in range(g.n) if inside[v])]
-        elif value == best:
-            sides.append(frozenset(v for v in range(g.n) if inside[v]))
-    if not sides:
-        return OracleAnswer(math.inf, ())
-    return OracleAnswer(int(best), _collect(sides, best))
+    return _optimum(g.n, (
+        (value, inside)
+        for value, crossings, inside in _gray_sides(g, [t], free, tree.edges)
+        if crossings <= k
+    ))
 
 
 def brute_leaf_respecting_min_cut(
@@ -170,59 +162,32 @@ def brute_leaf_respecting_min_cut(
     """As `brute_respecting_min_cut`, additionally requiring the cut to
     cross the source leaf's own tree edge (s, p): p must land on t's side."""
     _guard(g.n, ORACLE_MAX_N)
-    _check_terminals(g, s, t)
+    _check_pair(g.n, s, t)
     if s != tree.source or tree.degree(s) != 1:
         raise ValueError("s must be the tree's source and a leaf of it")
     _check_guide(g, tree, t, k)
     p = next(u + v - s for u, v in tree.edges if s in (u, v))
     free = [v for v in range(g.n) if v != s and v != t]
-    best: float = math.inf
-    sides: list[frozenset[int]] = []
-    for value, crossings, inside in _gray_sides(g, [t], free, tree.edges):
-        if crossings > k or not inside[p]:
-            continue
-        if value < best:
-            best = value
-            sides = [frozenset(v for v in range(g.n) if inside[v])]
-        elif value == best:
-            sides.append(frozenset(v for v in range(g.n) if inside[v]))
-    if not sides:
-        return OracleAnswer(math.inf, ())
-    return OracleAnswer(int(best), _collect(sides, best))
+    return _optimum(g.n, (
+        (value, inside)
+        for value, crossings, inside in _gray_sides(g, [t], free, tree.edges)
+        if crossings <= k and inside[p]
+    ))
 
 
 def brute_isolating_cuts(g: Graph, groups: Sequence[Iterable[int]]) -> list[OracleAnswer]:
     """Per group: the minimum cut separating it from every other group,
-    with all optimal sides enumerated."""
+    with all optimal sides enumerated.  Groups follow `isolating_cuts`'s
+    rule."""
     _guard(g.n, ORACLE_MAX_N_ISOLATING)
-    gsets = [frozenset(grp) for grp in groups]
+    gsets, owner = _vertex_groups(g.n, groups, "isolating")
     if len(gsets) < 2:
         raise ValueError(f"need at least 2 groups, got {len(gsets)}")
-    seen: set[int] = set()
-    for grp in gsets:
-        if not grp:
-            raise ValueError("isolating group may not be empty")
-        for v in grp:
-            if type(v) is not int:
-                raise ValueError(f"group vertex {v!r} is not an integer")
-            if not (0 <= v < g.n):
-                raise ValueError(f"group vertex {v} out of range for n={g.n}")
-            if v in seen:
-                raise ValueError(f"groups overlap on vertex {v}")
-            seen.add(v)
-    free = [v for v in range(g.n) if v not in seen]
-    answers = []
-    for grp in gsets:
-        best: float = math.inf
-        sides: list[frozenset[int]] = []
-        for value, _, inside in _gray_sides(g, sorted(grp), free):
-            if value < best:
-                best = value
-                sides = [frozenset(v for v in range(g.n) if inside[v])]
-            elif value == best:
-                sides.append(frozenset(v for v in range(g.n) if inside[v]))
-        answers.append(OracleAnswer(int(best), _collect(sides, best)))
-    return answers
+    free = [v for v in range(g.n) if v not in owner]
+    return [
+        _optimum(g.n, ((value, inside) for value, _, inside in _gray_sides(g, sorted(grp), free)))
+        for grp in gsets
+    ]
 
 
 def brute_steiner_min_cut(g: Graph, terminals: Iterable[int]) -> OracleAnswer:
@@ -230,24 +195,17 @@ def brute_steiner_min_cut(g: Graph, terminals: Iterable[int]) -> OracleAnswer:
     terminals on both sides.  The stored side is the one avoiding the
     smallest terminal."""
     _guard(g.n, ORACLE_MAX_N)
-    tset = set(terminals)
-    if len(tset) < 2:
-        raise ValueError(f"need at least two terminals, got {len(tset)}")
-    for v in tset:
+    terminals = tuple(terminals)  # checked before the set merges 1.0 or True into vertex 1
+    for v in terminals:
         if type(v) is not int or not (0 <= v < g.n):
             raise ValueError(f"terminal {v!r} out of range for n={g.n}")
-    tset = sorted(tset)
-    anchor = tset[0]
-    others = [v for v in tset if v != anchor]
+    tset = sorted(set(terminals))
+    if len(tset) < 2:
+        raise ValueError(f"need at least two terminals, got {len(tset)}")
+    anchor, others = tset[0], tset[1:]
     free = [v for v in range(g.n) if v != anchor]
-    best: float = math.inf
-    sides: list[frozenset[int]] = []
-    for value, _, inside in _gray_sides(g, [], free):
-        if not any(inside[u] for u in others):
-            continue
-        if value < best:
-            best = value
-            sides = [frozenset(v for v in range(g.n) if inside[v])]
-        elif value == best:
-            sides.append(frozenset(v for v in range(g.n) if inside[v]))
-    return OracleAnswer(int(best), _collect(sides, best))
+    return _optimum(g.n, (
+        (value, inside)
+        for value, _, inside in _gray_sides(g, [], free)
+        if any(inside[u] for u in others)
+    ))

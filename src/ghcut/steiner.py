@@ -205,7 +205,7 @@ def prune_sample(
     part must hang off the rest of the tree, so that removing any subset
     leaves a tree.  One coin is drawn per part, in the given order.
     """
-    psets = [frozenset(p) for p in parts]
+    psets = [_vertex_set(p) for p in parts]
     taken: set[int] = set()
     vset = set(t.vertices)
     for p in psets:
@@ -213,8 +213,8 @@ def prune_sample(
             raise ValueError("prunable part may not be empty")
         if t.source in p:
             raise ValueError("prunable part contains the source")
-        if not p <= vset or any(type(v) is not int for v in p):
-            raise ValueError(f"prunable part {set(p)} leaves the tree")
+        if not p <= vset:
+            raise ValueError(f"prunable part {p} leaves the tree")
         if p & taken:
             raise ValueError("prunable parts overlap")
         taken |= p

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -307,9 +308,11 @@ def _quotient(g: Graph, mask: int) -> tuple[Graph, ContractionMap]:
 def _validate(g: Graph, tree: SteinerTree, k: int, reps_coeff: float) -> None:
     if type(k) is not int or k < 0:
         raise ValueError(f"crossing budget k must be a non-negative integer, got {k!r}")
-    # checked at every k, though only pruning rounds (k > 1) read it
+    # checked at every k, though only pruning rounds (k > 1) read it; a
+    # value whose round count overflows a float could never finish anyway
     if (isinstance(reps_coeff, bool) or not isinstance(reps_coeff, (int, float))
-            or not 0 < reps_coeff < math.inf):
+            or not 0 < reps_coeff <= sys.float_info.max
+            or math.isinf(reps_coeff * math.log2(max(2, g.n)))):
         raise ValueError(f"reps_coeff must be a positive finite number, got {reps_coeff!r}")
     if tree.vertices[0] < 0 or tree.vertices[-1] >= g.n:
         raise ValueError("tree vertices leave the graph's vertex range")

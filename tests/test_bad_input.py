@@ -40,6 +40,7 @@ from ghcut import (
 N = 4
 CYCLE = Graph(N, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
 PATH = SteinerTree(range(N), [(0, 1), (1, 2), (2, 3)], 0)  # source 0 is a leaf
+STAR = SteinerTree(range(N), [(0, 1), (0, 2), (0, 3)], 0)  # every part {v} hangs off
 GH = GomoryHuTree([-1, 0, 1, 2], [0, 2, 2, 2])
 
 
@@ -125,6 +126,26 @@ NO_ID_ARGUMENTS = {
     "load_tree", "parse_gh_tree", "parse_graph", "parse_tree", "save_gh_tree",
     "save_graph", "save_tree",
 }
+
+
+# calls that put two ids equal to 1 into one set, with the second id
+# standing for a bool or a float twin of vertex 1
+TWIN_CALLS = [
+    ("cut_value", lambda x: cut_value(CYCLE, [1, x])),
+    ("contract", lambda x: contract(CYCLE, [[1, x]])),
+    ("isolating_cuts", lambda x: isolating_cuts(CYCLE, [[0], [1, x]])),
+    ("brute_isolating_cuts", lambda x: brute_isolating_cuts(CYCLE, [[0], [1, x]])),
+    ("brute_steiner_min_cut", lambda x: brute_steiner_min_cut(CYCLE, [0, 1, x])),
+    ("prune_sample", lambda x: prune_sample(STAR, [[1, x]], random.Random(0))),
+]
+
+
+@pytest.mark.parametrize("twin", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("name, call", TWIN_CALLS, ids=[name for name, _ in TWIN_CALLS])
+def test_twin_of_an_int_id_is_refused_before_the_set(name, call, twin):
+    # a set merges True and 1.0 into 1, so they must be checked one by one
+    with pytest.raises(ValueError):
+        call(twin)
 
 
 def test_every_public_name_is_classified():

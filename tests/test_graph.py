@@ -149,7 +149,6 @@ def test_contract_sums_parallel_and_drops_loops():
     assert q.edges == ((0, 1, 7), (1, 2, 1))
     assert cm.forward == (0, 0, 1, 2)
     assert cm.contracted_nodes == frozenset({0})
-    assert cm.preimage_lists() == ((0, 1), (2,), (3,))
 
 
 def test_contract_rejects_bad_groups():

@@ -354,13 +354,15 @@ def test_budget_must_be_an_integer(search, bad):
             sstcv_verify(g, [3], 0, {3: 2}, [tr], bad, "x")
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0, 0.0, -1.0, True, "3", None])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0, 0.0, -1.0, True, "3", None,
+                                 pytest.param(10**400, id="10**400"), 1e308])
 @pytest.mark.parametrize("search", ["tree", "leaf", "sstcv", "bench"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_reps_coeff_must_be_positive_and_finite(k, search, bad):
     # inf used to raise OverflowError and nan, "3" or None a TypeError or
     # a float conversion error, -1.0 silently ran one round, and at k=1
-    # nothing was checked at all
+    # nothing was checked at all; 10**400 and 1e308 passed the check but
+    # overflowed the round count
     g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
     tr = SteinerTree(range(4), ((0, 1), (1, 2), (2, 3)), 0)
     message = f"reps_coeff must be a positive finite number, got {bad!r}"
