@@ -19,8 +19,10 @@ class GomoryHuTree:
     """Rooted spanning tree over vertex ids 0..n-1 with weighted edges.
 
     Vertex 0 is the root; every other vertex stores its parent and the
-    weight of the edge to it.  parent[0] is -1 by convention.  depth[v] is
-    the number of edges from v up to the root.
+    weight of the edge to it.  parent[0] is -1 and weight[0] is 0 by
+    convention, and both are checked, since equality and hashing compare
+    the whole arrays.  depth[v] is the number of edges from v up to the
+    root.
     """
 
     __slots__ = ("parent", "weight", "depth")
@@ -33,6 +35,8 @@ class GomoryHuTree:
             raise ValueError("parent and weight arrays must have equal positive length")
         if type(parent[0]) is not int or parent[0] != -1:
             raise ValueError("vertex 0 must be the root (parent -1)")
+        if type(weight[0]) is not int or weight[0] != 0:
+            raise ValueError(f"the root has no tree edge, so weight[0] must be 0, got {weight[0]!r}")
         for v in range(1, n):
             if type(parent[v]) is not int or not (0 <= parent[v] < n):
                 raise ValueError(f"vertex {v} has out-of-range parent {parent[v]!r}")

@@ -183,9 +183,16 @@ def _vertex_groups(
     """
     gsets: list[frozenset[int]] = []
     owner: dict[int, int] = {}
-    for i, grp in enumerate(groups):
+    try:
+        numbered = enumerate(groups)
+    except TypeError:
+        raise ValueError(f"{what} groups must be a collection of groups, got {groups!r}") from None
+    for i, grp in numbered:
         if not isinstance(grp, (frozenset, set, list, tuple, range)):
-            grp = tuple(grp)  # walked twice below
+            try:
+                grp = tuple(grp)  # walked twice below
+            except TypeError:
+                raise ValueError(f"{what} group {grp!r} is not a collection of vertex ids") from None
         for v in grp:
             if type(v) is not int:
                 raise ValueError(f"{what} group contains non-integer vertex {v!r}")

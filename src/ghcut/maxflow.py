@@ -23,23 +23,27 @@ Flows between vertex sets (`max_flow_multi`, `isolating_cuts`) build the
 network straight from the graph's edges, each set relabelled to its
 smallest vertex (`_merged_flow`), so the cut comes back in the graph's ids.
 
-Each phase's BFS stops as soon as the sink is labelled, at some level L,
-since every vertex the phase can use is labelled by then.  Before its DFS
-the phase hides two kinds of dead end by setting their level to -1: every
-other vertex at level L, which has no level L+1 to go on to, and every
-vertex at level L-1 with no residual arc into the sink.  A push only adds
-residual capacity on arcs that go down a level, so no hidden vertex gains
-a way on within the phase.  Hiding saves the DFS entering, scanning and
-leaving each of them, and since a dead end lies on no path, the DFS finds
-the augmenting paths it would find without the hiding, in the same order.
-After an augmentation the DFS resumes from the first arc the push
+Each phase's levels come from one search grown from both terminals
+(`_levels`), a level at a time on the side whose frontier is smaller, as
+Boykov and Kolmogorov's min-cut solver grows its two search trees (IEEE
+TPAMI 2004).  It stops at the level where the two sides meet, so it scans
+the arcs near either terminal rather than every arc closer to the source
+than the sink is.  Every vertex on a shortest augmenting path gets its
+distance from the source as its level; the vertices the search can show
+to lie on none get level -1, and the DFS never enters them.  A push only
+adds residual capacity on arcs that go down a level, so no vertex gains a
+way on within the phase.  A vertex off every shortest path is a dead end
+whatever its level, so the DFS finds the same augmenting paths, in the
+same order, as over a plain BFS's levels, and the solve takes the same
+phases.  After an augmentation the DFS resumes from the first arc the push
 saturated rather than from the source.
-The BFS that fails to reach the sink ends the solve, and the vertices it
-left unlabelled are the reported sink side: the vertices NOT reachable
-from the source in the final residual network.  Its complement is the
-unique minimal source side among minimum cuts, so the side does not depend
-on which maximum flow the solve found, nor on the order of the arcs or on
-parallel ones.
+The search that finds the sink out of reach ends the solve.  When the
+sink's side runs out first, the source's side is searched to the end, so
+either way the vertices left at negative levels are the reported sink
+side: the vertices NOT reachable from the source in the final residual
+network.  Its complement is the unique minimal source side among minimum
+cuts, so the side does not depend on which maximum flow the solve found,
+nor on the order of the arcs or on parallel ones.
 """
 from __future__ import annotations
 
@@ -91,44 +95,107 @@ def attach_network(g: Graph) -> ResidualNetwork:
     return net
 
 
-def _dinic(net: ResidualNetwork, s: int, t: int) -> tuple[int, list[int]]:
-    """Max-flow value plus the BFS levels of the final residual network.
+def _levels(net: ResidualNetwork, cap: list[int], s: int, t: int) -> list[int]:
+    """Levels of one phase, searched from both terminals; level[t] < 0 when
+    t is out of reach, and then the vertices at levels >= 0 are exactly
+    those s can reach.
 
-    Vertices left at level -1 are exactly those the source cannot reach.
+    Each step expands one level of the smaller frontier: from s along
+    residual arcs, or from t backwards along residual arcs into it.  The
+    sink side is labelled -2 - (distance to t) while the search runs.  The
+    first step that finds a residual arc from a source-side vertex into a
+    sink-side one finds every such arc, all of them from the source
+    frontier (at distance a from s) into the sink frontier (at distance b
+    from t), and fixes the s-t distance at D = a + b + 1.  The sink side
+    then takes level D - (distance to t), so every vertex on a shortest
+    path has its distance from s as its level.  Two kinds of vertex that
+    lie on none get level -1: the labels this last step made beyond the
+    frontier it expanded, and the source frontier's vertices with no arc
+    into the sink side.  A sink-frontier vertex with no arc from the source
+    frontier lies on none either, but needs no hiding, since nothing at
+    level a has an arc into it.  Every sink-side vertex has a residual path
+    to t.
+
+    When the sink side runs out first, no source-side vertex can reach it,
+    and the source side's search goes on alone until it runs out too.
+    """
+    to, adj = net.to, net.adj
+    level = [-1] * net.n
+    level[s] = 0
+    level[t] = -2
+    front, back = [s], [t]
+    a = b = 0
+    sink = [t]
+    while True:
+        if back and len(back) < len(front):
+            # expand the sink side: residual arcs into the sink frontier
+            nxt, joined = [], []
+            lb = -3 - b
+            for v in back:
+                for e in adj[v]:
+                    if cap[e ^ 1]:
+                        u = to[e]
+                        lu = level[u]
+                        if lu == -1:
+                            level[u] = lb
+                            nxt.append(u)
+                        elif lu >= 0:
+                            joined.append(u)
+            if joined:
+                break
+            back = nxt
+            sink += nxt
+            b += 1
+        elif front:
+            # expand the source side: residual arcs out of its frontier
+            nxt, joined = [], []
+            la = a + 1
+            for u in front:
+                hit = False
+                for e in adj[u]:
+                    if cap[e]:
+                        v = to[e]
+                        lv = level[v]
+                        if lv == -1:
+                            level[v] = la
+                            nxt.append(v)
+                        elif lv < -1:
+                            hit = True
+                if hit:
+                    joined.append(u)
+            if joined:
+                break
+            front = nxt
+            a += 1
+        else:
+            return level
+    # the sides met at distance D = a + b + 1: hide what lies on no
+    # shortest path, and give the sink side level D - (distance to t)
+    for v in nxt:
+        level[v] = -1
+    for u in front:
+        level[u] = -1
+    for u in joined:
+        level[u] = a
+    top = a + b + 3  # D + 2
+    for v in sink:
+        level[v] += top
+    return level
+
+
+def _dinic(net: ResidualNetwork, s: int, t: int) -> tuple[int, list[int]]:
+    """Max-flow value plus the levels of the final residual network.
+
+    Vertices left at a negative level are exactly those the source cannot
+    reach.
     """
     n, to, adj = net.n, net.to, net.adj
     cap = net.cap0[:]
     flow = 0
     while True:
-        level = [-1] * n
-        level[s] = 0
-        queue = [s]
-        # vertices labelled before t have their final level; the rest are
-        # no use to this phase, so stop as soon as t is labelled
-        for u in queue:
-            lv = level[u] + 1
-            for a in adj[u]:
-                v = to[a]
-                if cap[a] and level[v] < 0:
-                    level[v] = lv
-                    queue.append(v)
-            if level[t] >= 0:
-                break
-        else:
+        level = _levels(net, cap, s, t)
+        if level[t] < 0:
             return flow, level
-        # hide the dead ends at the sink's level lt and at lt-1: the tail
-        # of the queue, back to the first vertex below lt-1
-        lt = level[t]
-        into_t = {to[a] for a in adj[t] if cap[a ^ 1]}
-        k = len(queue) - 1
-        while level[queue[k]] == lt:
-            level[queue[k]] = -1
-            k -= 1
-        level[t] = lt  # hidden with the rest of its level
-        while k >= 0 and level[queue[k]] == lt - 1:
-            if queue[k] not in into_t:
-                level[queue[k]] = -1
-            k -= 1
         it = [0] * n
         path: list[int] = []
         v = s
@@ -208,7 +275,10 @@ def max_flow_multi(g: Graph, s: int, sinks) -> FlowResult:
         raise ValueError(f"source must be an integer, got {s!r}")
     if not 0 <= s < g.n:
         raise ValueError(f"terminal out of range: s={s}, n={g.n}")
-    sinks = list(sinks)
+    try:
+        sinks = list(sinks)
+    except TypeError:
+        raise ValueError(f"sinks must be a collection of vertex ids, got {sinks!r}") from None
     if not sinks:
         raise ValueError("need at least one sink")
     for v in sinks:

@@ -6,11 +6,16 @@ networkx's own flow code on random graphs of up to 80 vertices.  Graphs
 are drawn from a seeded rng in the test, not from the library's
 generators, and may be disconnected.
 
-The layered graphs at the end are shaped around the solver's phases: each
-phase hides the vertices at the sink's BFS level and the ones just below
-it that have no residual arc into the sink, so they give the sink a wide
-level, few ways in, the source as its neighbour, and merged sinks reached
-by parallel arcs, with unit weights and with weights near `WEIGHT_CAP`.
+The layered graphs at the end are shaped around the solver's level search,
+which grows from both terminals, one level at a time on the side with the
+smaller frontier, and stops where the two sides meet.  The sides meet
+while the sink's side grows (narrow around the sink, wide around the
+source) or while the source's does (a wide sink level), and at distance 1
+when the source is next to the sink.  With the sink in a small pocket
+behind light edges, or in a component of its own, the sink's side runs out
+first and the cut comes from finishing the source's side.  Merged sinks
+are reached by parallel arcs, or take a third of the graph.  Weights are
+units, small, or near `WEIGHT_CAP`.
 """
 import random
 
@@ -122,23 +127,28 @@ def test_build_gusfield_all_pairs_against_gomory_hu_tree(n, seed):
 
 
 # name: (layer widths, index of the sink's layer, vertices of the layer
-# below the sink's that have an edge to the sink)
+# below the sink's that have an edge to the sink, weight of the edges
+# between those two layers: None as drawn, 1 for light ones, 0 for none)
 SHAPES = {
-    "wide sink level": ((1, 4, 6, 40, 5), 3, 2),
-    "one way into the sink": ((1, 3, 25, 8), 3, 1),
-    "source next to sink": ((1, 30, 10), 1, 1),
-    "long and narrow": ((1, 2, 2, 2, 2, 20, 3), 5, 1),
+    "wide sink level": ((1, 4, 6, 40, 5), 3, 2, None),
+    "one way into the sink": ((1, 3, 25, 8), 3, 1, None),
+    "source next to sink": ((1, 30, 10), 1, 1, None),
+    "long and narrow": ((1, 2, 2, 2, 2, 20, 3), 5, 1, None),
+    "narrow around the sink": ((1, 30, 40, 3, 1), 4, 1, None),
+    "sink in a pocket": ((1, 20, 30, 4), 3, 2, 1),
+    "separate components": ((1, 15, 25, 1, 12, 6), 3, 0, 0),
 }
 WEIGHTS = ("unit", "small", "near cap")
 
 
 def layered_graph(shape, weights, seed):
     """Graph on layers of the given widths, with edges inside a layer and
-    between neighbouring ones; every vertex has a neighbour one layer up,
-    so its layer is its distance from the source, layer 0's only vertex.
-    Returns the graph, the source, the sink (first of its layer) and the
-    layers."""
-    widths, sink_layer, links = SHAPES[shape]
+    between neighbouring ones.  Every vertex but the sink has a neighbour
+    one layer up, unless the shape drops the edges below the sink's layer,
+    so a vertex's layer is its distance from the source, layer 0's only
+    vertex.  Returns the graph, the source, the sink (first of its layer)
+    and the layers."""
+    widths, sink_layer, links, below_sink = SHAPES[shape]
     rng = random.Random(f"layered|{shape}|{weights}|{seed}")
     layers, n = [], 0
     for width in widths:
@@ -146,9 +156,9 @@ def layered_graph(shape, weights, seed):
         n += width
     s, t = layers[0][0], layers[sink_layer][0]
     pairs = set()
-    for up, layer in zip(layers, layers[1:]):
+    for i, (up, layer) in enumerate(zip(layers, layers[1:]), start=1):
         for v in layer:
-            if v != t:
+            if v != t and not (i == sink_layer and below_sink == 0):
                 pairs.update((u, v) for u in rng.sample(up, rng.randint(1, min(3, len(up)))))
         if len(layer) > 1:
             pairs.update(tuple(sorted(rng.sample(layer, 2))) for _ in range(len(layer)))
@@ -161,6 +171,9 @@ def layered_graph(shape, weights, seed):
         # the total stays just under the cap
         big = (WEIGHT_CAP - 1) // len(pairs)
         edges = [(u, v, rng.randint(big - 1000, big)) for u, v in sorted(pairs)]
+    if below_sink == 1:
+        below, pocket = set(layers[sink_layer - 1]), set(layers[sink_layer])
+        edges = [(u, v, 1 if u in below and v in pocket else w) for u, v, w in edges]
     return Graph(n, edges), s, t, layers
 
 
@@ -182,8 +195,16 @@ def test_merged_sinks_on_layered_graphs(shape, weights):
         g, s, t, layers = layered_graph(shape, weights, seed)
         rng = random.Random(f"merged|{shape}|{weights}|{seed}")
         sink_layer = SHAPES[shape][1]
-        # sinks sharing neighbours give the merged sink parallel arcs
-        sinks = [t] + rng.sample(layers[sink_layer][1:], min(5, len(layers[sink_layer]) - 1))
+        if seed % 2:
+            # sinks sharing neighbours give the merged sink parallel arcs
+            near = layers[sink_layer][1:]
+            sinks = [t] + rng.sample(near, min(5, len(near)))
+        else:
+            # a third of the graph: the sink side starts wider than the source's
+            others = range(1, g.n)
+            sinks = rng.sample(others, len(others) // 3)
+            if t not in sinks:
+                sinks.append(t)
         res = max_flow_multi(g, s, sinks)
         h = to_nx(g)
         h.add_edges_from((v, "sink") for v in sinks)

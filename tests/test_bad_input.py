@@ -148,6 +148,25 @@ def test_twin_of_an_int_id_is_refused_before_the_set(name, call, twin):
         call(twin)
 
 
+# calls that pass an int where a collection of ids or of groups belongs,
+# and the argument the error must name
+NOT_A_COLLECTION = [
+    ("max_flow_multi", lambda: max_flow_multi(CYCLE, 0, 3), "sinks"),
+    ("contract", lambda: contract(CYCLE, [3]), "contraction group 3"),
+    ("contract", lambda: contract(CYCLE, 3), "contraction groups"),
+    ("isolating_cuts", lambda: isolating_cuts(CYCLE, [3, [1]]), "isolating group 3"),
+    ("isolating_cuts", lambda: isolating_cuts(CYCLE, 3), "isolating groups"),
+    ("brute_isolating_cuts", lambda: brute_isolating_cuts(CYCLE, [3, [1]]), "isolating group 3"),
+]
+
+
+@pytest.mark.parametrize("name, call, argument", NOT_A_COLLECTION,
+                         ids=[f"{name}-{argument}" for name, _, argument in NOT_A_COLLECTION])
+def test_int_in_place_of_a_collection_is_refused(name, call, argument):
+    with pytest.raises(ValueError, match=argument):
+        call()
+
+
 def test_every_public_name_is_classified():
     names = {name for name, *_ in CASES}
     assert not names & NO_ID_ARGUMENTS

@@ -149,7 +149,7 @@ def test_verify_flags_perturbed_weight():
 def test_verify_reports_first_pair_in_order():
     g = Graph(3, [(0, 1, 4), (1, 2, 6)])
     tree = build_gusfield(g)
-    bad = GomoryHuTree(list(tree.parent), [w + 1 for w in tree.weight])
+    bad = GomoryHuTree(list(tree.parent), [0] + [w + 1 for w in tree.weight[1:]])
     violation = verify_gomory_hu(g, bad)
     assert (violation.a, violation.b) == (0, 1)
 
@@ -168,6 +168,17 @@ def test_tree_validation():
         GomoryHuTree([-1, 0], [0, 0])
     with pytest.raises(ValueError):
         GomoryHuTree([-1, 2, 1], [0, 1, 1])
+
+
+@pytest.mark.parametrize("root_weight", [-1, 1, 0.0, False, "a", None])
+def test_root_weight_must_be_int_zero(root_weight):
+    # the root has no tree edge; equality and hashing compare weight[0] too,
+    # so any other value would make two trees with the same answers differ
+    with pytest.raises(ValueError, match=r"weight\[0\] must be 0"):
+        GomoryHuTree([-1, 0], [root_weight, 1])
+    tree = GomoryHuTree([-1, 0], [0, 1])
+    assert tree == build_gusfield(Graph(2, [(0, 1, 1)]))
+    assert tree == parse_gh_tree(format_gh_tree(tree))
 
 
 def test_format_shape():

@@ -8,7 +8,11 @@ that claims the same outputs must reproduce these digests exactly:
   generated graphs, up to the n=200, p=0.05 graphs the `gh-build`
   benchmark builds on;
 - `(value, sorted sink side)` of seeded `max_flow`, `max_flow_multi` and
-  `isolating_cuts` solves on random graphs with weights up to 1000.
+  `isolating_cuts` solves on random graphs with weights up to 1000;
+- the number of level searches (Dinic phases, plus the last search that
+  finds the sink out of reach) of every solve in both batteries.  Each
+  search must find every shortest augmenting path: one that left a path
+  out would take more phases, which the outputs alone would not show.
 
 The digests are sha256 over canonical JSON.
 """
@@ -16,6 +20,7 @@ import hashlib
 import json
 import random
 
+import ghcut.maxflow
 from ghcut import Graph, build_gusfield, generate, isolating_cuts, max_flow, max_flow_multi
 
 # (kind, n, seed, weight range, p); p=None is the generator's default
@@ -30,6 +35,9 @@ GUSFIELD_BATTERY = (
 
 GUSFIELD_DIGEST = "96889994e9ee1c9254cce1346a91bdc4aae43c399991fb09fd718516087ce02c"
 FLOW_DIGEST = "7bd7fc77da4732946115a38053f796bf6771a8fea1929d30dd37bb3be5e67c8f"
+# level searches per solve, in solve order over both batteries
+SOLVES, SEARCHES = 4644, 16552
+SEARCHES_DIGEST = "796dccce87aa940d23befbbb1c9af1da7bfc1e8853b34f5bd15f8bc49e1be241"
 
 
 def digest(obj):
@@ -79,3 +87,23 @@ def test_gusfield_trees_match_golden():
 
 def test_flow_solves_match_golden():
     assert digest(flow_solves()) == FLOW_DIGEST
+
+
+def test_level_searches_per_solve_match_golden(monkeypatch):
+    counts = []
+    dinic, levels = ghcut.maxflow._dinic, ghcut.maxflow._levels
+
+    def counted_dinic(*args):
+        counts.append(0)
+        return dinic(*args)
+
+    def counted_levels(*args):
+        counts[-1] += 1
+        return levels(*args)
+
+    monkeypatch.setattr(ghcut.maxflow, "_dinic", counted_dinic)
+    monkeypatch.setattr(ghcut.maxflow, "_levels", counted_levels)
+    gusfield_trees()
+    flow_solves()
+    assert (len(counts), sum(counts)) == (SOLVES, SEARCHES)
+    assert digest(counts) == SEARCHES_DIGEST
