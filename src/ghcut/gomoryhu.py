@@ -113,8 +113,10 @@ def build_gusfield(g: Graph) -> GomoryHuTree:
     Every vertex i >= 1 starts parented at 0; step i computes the minimum
     (i, parent)-cut, re-parents later siblings that fall on i's side, and
     when the grandparent falls on i's side as well, i takes its parent's
-    place in the tree.  Disconnected graphs are rejected.  The graph's
-    residual network is built once and stays attached to `g`.
+    place in the tree.  When i is alone on its side, as in most steps on
+    sparse graphs, neither can happen and the step ends there.
+    Disconnected graphs are rejected.  The graph's residual network is
+    built once and stays attached to `g`.
     """
     n = g.n
     if n < 2:
@@ -130,6 +132,8 @@ def build_gusfield(g: Graph) -> GomoryHuTree:
         res = max_flow(g, i, t)
         sink_side = res.mincut.side  # contains t, not i
         weight[i] = res.value
+        if len(sink_side) == n - 1:
+            continue
         for j in range(i + 1, n):
             if parent[j] == t and j not in sink_side:
                 parent[j] = i

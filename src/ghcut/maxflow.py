@@ -12,12 +12,12 @@ flows on one graph attach it once with `attach_network`, as Gusfield's
 construction and the Gomory-Hu verifier do (n-1 and n(n-1)/2 flows on the
 same graph).  The guided search in `treemincuts` does not: its per-call
 cache keeps every contracted child it builds alive until the call returns
-(each once, about 460 graphs per n=72 `tree_mincuts` call), next to every
-flow, multi-sink flow and isolating result the call computes, on graphs of
-any size, and the compact answers of its budget-1 children (about 440
-per n=72 call).  A cached graph sees about four flows, and a network on
-each one raised the `sst-guided` benchmark's peak memory by about 7% (22.5
-to 24.0 MB) without making it faster.
+(7,422 child graphs in one n=512 `tree_mincuts` call), and a network on
+each would hold every arc a second time.  Such a network per cached graph
+is faster (five `sst-guided`-shaped operations took 0.935 s rather than
+1.01 s, and the n=512 call 4.3 s rather than 4.8 s) but raised that
+call's peak memory from 151 to 256 MB; ROADMAP direction 4 tracks the
+trade.
 
 Flows between vertex sets (`max_flow_multi`, `isolating_cuts`) build the
 network straight from the graph's edges, each set relabelled to its
@@ -39,11 +39,13 @@ phases.  After an augmentation the DFS resumes from the first arc the push
 saturated rather than from the source.
 The search that finds the sink out of reach ends the solve.  When the
 sink's side runs out first, the source's side is searched to the end, so
-either way the vertices left at negative levels are the reported sink
-side: the vertices NOT reachable from the source in the final residual
-network.  Its complement is the unique minimal source side among minimum
-cuts, so the side does not depend on which maximum flow the solve found,
-nor on the order of the arcs or on parallel ones.
+either way that search has labelled exactly the vertices the source can
+reach in the final residual network.  It returns them as a list, built a
+level at a time, and the reported sink side is the rest of the network's
+`vertices`: one set difference in C, with no Python pass over all n
+vertices.  The side's complement is the unique minimal source side among
+minimum cuts, so the side does not depend on which maximum flow the solve
+found, nor on the order of the arcs or on parallel ones.
 """
 from __future__ import annotations
 
@@ -68,9 +70,11 @@ class ResidualNetwork:
     both with capacity `cap0` equal to the edge weight; `adj[v]` lists the
     ids of the arcs leaving v.  Every solve copies `cap0`, so one network
     can serve any number of flows, in any order and from any thread.
+    `vertices` holds all n ids; each solve's sink side is what is left of
+    it once the vertices the source reaches are taken out.
     """
 
-    __slots__ = ("n", "to", "cap0", "adj")
+    __slots__ = ("n", "vertices", "to", "cap0", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -82,6 +86,7 @@ class ResidualNetwork:
             to += (v, u)
             cap0 += (w, w)
         self.n = n
+        self.vertices = frozenset(range(n))
         self.to = to
         self.cap0 = cap0
         self.adj = adj
@@ -95,10 +100,10 @@ def attach_network(g: Graph) -> ResidualNetwork:
     return net
 
 
-def _levels(net: ResidualNetwork, cap: list[int], s: int, t: int) -> list[int]:
-    """Levels of one phase, searched from both terminals; level[t] < 0 when
-    t is out of reach, and then the vertices at levels >= 0 are exactly
-    those s can reach.
+def _levels(net: ResidualNetwork, cap: list[int], s: int,
+            t: int) -> tuple[list[int], list[int] | None]:
+    """Levels of one phase, searched from both terminals, plus the vertices
+    s can reach when t is out of reach (None when it is not).
 
     Each step expands one level of the smaller frontier: from s along
     residual arcs, or from t backwards along residual arcs into it.  The
@@ -118,6 +123,9 @@ def _levels(net: ResidualNetwork, cap: list[int], s: int, t: int) -> list[int]:
 
     When the sink side runs out first, no source-side vertex can reach it,
     and the source side's search goes on alone until it runs out too.
+    Either way the search ends with every vertex s can reach labelled, and
+    `reached`, which is [s] plus each source level's new vertices, lists
+    them all.
     """
     to, adj = net.to, net.adj
     level = [-1] * net.n
@@ -126,6 +134,7 @@ def _levels(net: ResidualNetwork, cap: list[int], s: int, t: int) -> list[int]:
     front, back = [s], [t]
     a = b = 0
     sink = [t]
+    reached = [s]
     while True:
         if back and len(back) < len(front):
             # expand the sink side: residual arcs into the sink frontier
@@ -166,9 +175,10 @@ def _levels(net: ResidualNetwork, cap: list[int], s: int, t: int) -> list[int]:
             if joined:
                 break
             front = nxt
+            reached += nxt
             a += 1
         else:
-            return level
+            return level, reached
     # the sides met at distance D = a + b + 1: hide what lies on no
     # shortest path, and give the sink side level D - (distance to t)
     for v in nxt:
@@ -180,28 +190,31 @@ def _levels(net: ResidualNetwork, cap: list[int], s: int, t: int) -> list[int]:
     top = a + b + 3  # D + 2
     for v in sink:
         level[v] += top
-    return level
+    return level, None
 
 
 def _dinic(net: ResidualNetwork, s: int, t: int) -> tuple[int, list[int]]:
-    """Max-flow value plus the levels of the final residual network.
+    """Max-flow value plus the vertices the source reaches in the final
+    residual network, as the last level search listed them.
 
-    Vertices left at a negative level are exactly those the source cannot
-    reach.
+    Every vertex not in the list is on the sink side.
     """
     n, to, adj = net.n, net.to, net.adj
     cap = net.cap0[:]
     flow = 0
     while True:
-        level = _levels(net, cap, s, t)
-        if level[t] < 0:
-            return flow, level
+        level, reached = _levels(net, cap, s, t)
+        if reached is not None:
+            return flow, reached
         it = [0] * n
         path: list[int] = []
         v = s
         while True:
             if v == t:
-                bott = min(cap[a] for a in path)
+                bott = cap[path[0]]
+                for a in path:
+                    if cap[a] < bott:
+                        bott = cap[a]
                 for a in path:
                     cap[a] -= bott
                     cap[a ^ 1] += bott
@@ -245,14 +258,18 @@ def max_flow(g: Graph, s: int, t: int) -> FlowResult:
     net = g._net
     if net is None:
         net = ResidualNetwork(g.n, g.edges)
-    value, level = _dinic(net, s, t)
-    side = frozenset(v for v in range(g.n) if level[v] < 0)
-    return FlowResult(value, Cut(side, value))
+    value, reached = _dinic(net, s, t)
+    return FlowResult(value, Cut(net.vertices.difference(reached), value))
 
 
 def _merged_flow(g: Graph, sources: Collection[int], sinks: Collection[int]) -> FlowResult:
     """Minimum cut of `g` between two disjoint nonempty vertex sets, each
-    merged into one node; self-loops are skipped, parallel arcs kept."""
+    merged into one node; self-loops are skipped, parallel arcs kept.
+
+    Every set member but the one its set is relabelled to keeps no arc, so
+    the search never reaches it: a source member goes to the source side
+    by name, and a sink member stays on the sink side.
+    """
     label = list(range(g.n))
     s, t = min(sources), min(sinks)
     for v in sources:
@@ -261,9 +278,8 @@ def _merged_flow(g: Graph, sources: Collection[int], sinks: Collection[int]) -> 
         label[v] = t
     net = ResidualNetwork(g.n, ((label[u], label[v], w) for u, v, w in g.edges
                                 if label[u] != label[v]))
-    value, level = _dinic(net, s, t)
-    side = frozenset(v for v in range(g.n) if level[label[v]] < 0)
-    return FlowResult(value, Cut(side, value))
+    value, reached = _dinic(net, s, t)
+    return FlowResult(value, Cut(net.vertices.difference(reached, sources), value))
 
 
 def max_flow_multi(g: Graph, s: int, sinks) -> FlowResult:

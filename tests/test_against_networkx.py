@@ -65,6 +65,27 @@ def residual_source_side(h, s, t):
     return r.graph["flow_value"], reach
 
 
+def merged_source_side(g, sources, sinks):
+    """As `residual_source_side`, for the cut between two vertex sets: each
+    set is joined to a super terminal by edges without a capacity, which
+    are infinite in networkx."""
+    h = to_nx(g)
+    h.add_edges_from(("src", v) for v in sources)
+    h.add_edges_from((v, "sink") for v in sinks)
+    value, reach = residual_source_side(h, "src", "sink")
+    return value, frozenset(reach - {"src"})
+
+
+def check_isolating_cuts(g, groups):
+    """Every group's value and side against a networkx flow from the group
+    to all the other groups."""
+    results = isolating_cuts(g, groups)
+    assert [gc.group for gc in results] == [frozenset(grp) for grp in groups]
+    for i, gc in enumerate(results):
+        others = [v for j, grp in enumerate(groups) if j != i for v in grp]
+        assert (gc.value, gc.side) == merged_source_side(g, groups[i], others), i
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 80), seed=st.integers(0, 2**32))
 def test_max_flow_value_and_side(n, seed):
@@ -100,16 +121,7 @@ def test_isolating_cuts_against_super_sink_flows(n, seed, data):
     # cut the picked vertices into `count` nonempty groups
     bounds = sorted(rng.sample(range(1, len(picked)), count - 1))
     groups = [frozenset(picked[a:b]) for a, b in zip([0] + bounds, bounds + [len(picked)])]
-    results = isolating_cuts(g, groups)
-    assert [gc.group for gc in results] == groups
-    for i, gc in enumerate(results):
-        # edges without a capacity are infinite in networkx
-        h = to_nx(g)
-        h.add_edges_from(("src", v) for v in groups[i])
-        h.add_edges_from((v, "sink") for j, grp in enumerate(groups) if j != i for v in grp)
-        value, source_side = residual_source_side(h, "src", "sink")
-        assert gc.value == value
-        assert gc.side == frozenset(source_side - {"src"})
+    check_isolating_cuts(g, groups)
 
 
 @settings(max_examples=20, deadline=None)
@@ -213,11 +225,30 @@ def test_merged_sinks_on_layered_graphs(shape, weights):
         assert res.mincut.side == frozenset(range(g.n)) - source_side, seed
 
         others = [v for v in range(g.n) if v != s and v not in sinks]
-        groups = [frozenset([s]), frozenset(sinks), frozenset(rng.sample(others, 2))]
-        for i, gc in enumerate(isolating_cuts(g, groups)):
-            h = to_nx(g)
-            h.add_edges_from(("src", v) for v in groups[i])
-            h.add_edges_from((v, "sink") for j, grp in enumerate(groups) if j != i for v in grp)
-            value, source_side = residual_source_side(h, "src", "sink")
-            assert gc.value == value, (seed, i)
-            assert gc.side == frozenset(source_side - {"src"}), (seed, i)
+        check_isolating_cuts(g, [[s], sinks, rng.sample(others, 2)])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_merged_flows_with_arcless_set_members(seed):
+    # Merging a vertex set into one node leaves a member without arcs when
+    # all its edges stay inside the set.  Next to a random graph on n
+    # vertices: x has no edges at all, y has edges only into the source
+    # group A, and z only into the other sinks, all of group B.
+    n = 6 + 3 * seed
+    base, rng = random_graph(n, seed, connected=True)
+    x, y, z = n, n + 1, n + 2
+    a1, a2, b1, b2, c = rng.sample(range(n), 5)
+    edges = list(base.edges) + [(y, a1, rng.randint(1, 20)), (y, a2, rng.randint(1, 20)),
+                                (z, b1, rng.randint(1, 20)), (z, b2, rng.randint(1, 20))]
+    g = Graph(n + 3, edges)
+    A, B = [a1, a2, x, y], [b1, b2, z]
+
+    for s, sinks in ((a1, B + [x]), (x, B), (y, B), (c, B), (a1, [z, b1])):
+        res = max_flow_multi(g, s, sinks)
+        value, source_side = merged_source_side(g, [s], sinks)
+        assert (res.value, res.mincut.value) == (value, value), (s, sinks)
+        assert res.mincut.side == frozenset(range(g.n)) - source_side, (s, sinks)
+
+    check_isolating_cuts(g, [A, B])
+    check_isolating_cuts(g, [A, B, [c]])
+    check_isolating_cuts(g, [[x], [y], B])

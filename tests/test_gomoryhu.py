@@ -87,6 +87,61 @@ def test_uses_exactly_n_minus_one_flows(monkeypatch):
     assert len(calls) == 12
 
 
+def gusfield_full_scan(g):
+    """Gusfield's construction with no early exit: every step scans every
+    later vertex and checks the grandparent, whatever the cut."""
+    n = g.n
+    parent = [0] * n
+    parent[0] = -1
+    weight = [0] * n
+    for i in range(1, n):
+        t = parent[i]
+        res = max_flow(g, i, t)
+        sink_side = res.mincut.side
+        weight[i] = res.value
+        for j in range(i + 1, n):
+            if parent[j] == t and j not in sink_side:
+                parent[j] = i
+        if t != 0 and parent[t] not in sink_side:
+            parent[i] = parent[t]
+            parent[t] = i
+            weight[i] = weight[t]
+            weight[t] = res.value
+    return GomoryHuTree(parent, weight)
+
+
+def heavy_pendant_graph(n, seed):
+    """A random connected core with a pendant vertex hung on every third
+    core vertex by a heavy edge, so the core vertex's cut from the rest
+    takes its pendant along."""
+    rng = random.Random(f"heavy-pendant|{seed}")
+    core = n - n // 4
+    edges = [(v, rng.randrange(v), rng.randint(1, 10)) for v in range(1, core)]
+    edges += [(u, v, rng.randint(1, 10)) for u in range(core) for v in range(u + 1, core)
+              if rng.random() < 3 / core]
+    edges += [(u, core + k, 1000) for k, u in enumerate(rng.sample(range(core), n - core))]
+    return Graph(n, edges)
+
+
+def test_early_exit_builds_the_full_scan_tree(monkeypatch):
+    graphs = [generate("planted-cut", n, seed=seed) for n in (6, 15, 40) for seed in (0, 1)]
+    graphs += [generate("clique", n, seed=seed) for n in (5, 12) for seed in (0, 1)]
+    graphs += [heavy_pendant_graph(n, seed) for n in (8, 20, 60) for seed in (0, 1)]
+    alone = []
+    real = ghcut.gomoryhu.max_flow
+
+    def recording(g, s, t):
+        res = real(g, s, t)
+        alone.append(len(res.mincut.side) == g.n - 1)
+        return res
+
+    monkeypatch.setattr(ghcut.gomoryhu, "max_flow", recording)
+    for g in graphs:
+        assert build_gusfield(g) == gusfield_full_scan(g)
+    # both branches ran: steps that end early, and steps that move vertices
+    assert True in alone and False in alone
+
+
 def test_query_agrees_with_path_walk():
     g = generate("erdos-renyi-weighted", 12, seed=7)
     tree = build_gusfield(g)
