@@ -34,7 +34,7 @@ from .graph import (
     save_graph,
 )
 from .isolating import GroupCut, isolating_cuts
-from .maxflow import FlowResult, attach_network, max_flow, max_flow_multi
+from .maxflow import FlowResult, max_flow, max_flow_multi
 from .oracle import (
     ORACLE_MAX_N,
     ORACLE_MAX_N_ISOLATING,
@@ -90,7 +90,6 @@ __all__ = [
     "RecursionStats",
     "SteinerTree",
     "WEIGHT_CAP",
-    "attach_network",
     "brute_isolating_cuts",
     "brute_leaf_respecting_min_cut",
     "brute_min_cut",

@@ -220,10 +220,15 @@ def _cmd_mincuts(args) -> int:
 def _cmd_sstcv(args) -> int:
     g = load_graph(args.graph, args.format)
     with open(args.estimates, "r", encoding="ascii") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
+        raw = json.load(fh, object_pairs_hook=tuple)  # keeps repeated keys
+    if not isinstance(raw, tuple):
         raise ValueError("estimates file must hold a JSON object: terminal -> value")
-    estimates = {int(key): value for key, value in raw.items()}
+    estimates = {}
+    for key, value in raw:
+        t = int(key)
+        if t in estimates:
+            raise ValueError(f"estimates file names terminal {t} more than once")
+        estimates[t] = value
     trees = [load_tree(path) for path in args.trees]
     terminals = _ints(args.terminals) if args.terminals else sorted(estimates)
     stats = RecursionStats()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import Graph, GraphFormatError, connected_components
-from .maxflow import attach_network, max_flow
+from .maxflow import max_flow
 
 
 class GomoryHuTree:
@@ -115,8 +115,7 @@ def build_gusfield(g: Graph) -> GomoryHuTree:
     when the grandparent falls on i's side as well, i takes its parent's
     place in the tree.  When i is alone on its side, as in most steps on
     sparse graphs, neither can happen and the step ends there.
-    Disconnected graphs are rejected.  The graph's residual network is
-    built once and stays attached to `g`.
+    Disconnected graphs are rejected.
     """
     n = g.n
     if n < 2:
@@ -126,7 +125,6 @@ def build_gusfield(g: Graph) -> GomoryHuTree:
     parent = [0] * n
     parent[0] = -1
     weight = [0] * n
-    attach_network(g)
     for i in range(1, n):
         t = parent[i]
         res = max_flow(g, i, t)
@@ -159,12 +157,10 @@ def verify_gomory_hu(g: Graph, tree: GomoryHuTree) -> GHViolation | None:
     """Exhaustively check the tree against one max-flow per vertex pair.
 
     Returns None when every pair agrees, else the first violation in
-    lexicographic pair order.  Like `build_gusfield`, it leaves the graph's
-    residual network attached to `g`.
+    lexicographic pair order.
     """
     if tree.n != g.n:
         raise ValueError(f"tree has {tree.n} vertices but graph has {g.n}")
-    attach_network(g)
     for a in range(g.n):
         for b in range(a + 1, g.n):
             tv = tree.query(a, b)
@@ -202,6 +198,8 @@ def parse_gh_tree(text: str) -> GomoryHuTree:
                 if size is not None:
                     raise GraphFormatError("duplicate tree header", lineno)
                 size = int(fields[1])
+                if size < 1:
+                    raise GraphFormatError(f"tree needs at least one vertex, got {size}", lineno)
             elif fields[0] == "e" and len(fields) == 3:
                 edges.append((int(fields[1]), int(fields[2])))
             elif fields[0] == "s" and len(fields) == 2:

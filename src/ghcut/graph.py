@@ -36,12 +36,11 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable weighted undirected graph.
 
-    `_adj`, `_hash` and `_net` are caches filled on first use; `_net` holds
-    the residual network that `maxflow.attach_network` builds for callers
-    that run many flows on one graph.
+    Its only caches are `_adj` and `_hash`, each filled on first use;
+    nothing else writes to a graph after it is built.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_hash", "_net")
+    __slots__ = ("n", "edges", "_adj", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         # n and endpoints must be ints (bool is refused); a weight may also
@@ -78,7 +77,6 @@ class Graph:
         )
         self._adj: tuple[tuple[tuple[int, int], ...], ...] | None = None
         self._hash: int | None = None
-        self._net = None
 
     @classmethod
     def _from_merged(cls, n: int, merged: dict[tuple[int, int], int]) -> "Graph":
@@ -89,7 +87,6 @@ class Graph:
         g.edges = tuple(sorted((u, v, w) for (u, v), w in merged.items()))
         g._adj = None
         g._hash = None
-        g._net = None
         return g
 
     @property
@@ -404,6 +401,8 @@ def parse_graph(text: str, fmt: str = "dimacs") -> Graph:
                 n, m = int(fields[1]), int(fields[2])
             except ValueError as exc:
                 raise GraphFormatError(f"bad header: {exc}", lineno) from exc
+            if n < 1:
+                raise GraphFormatError(f"graph needs at least one vertex, got n={n}", lineno)
         elif fields[0] == "e":
             if n is None:
                 raise GraphFormatError("edge before header", lineno)

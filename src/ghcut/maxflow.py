@@ -6,18 +6,12 @@ reverses, both starting at the edge weight).  The arcs live in a
 each solve works on its own copy of the capacities, so one network can be
 reused across flows and shared between threads.
 
-Who keeps a network: `max_flow` uses the one attached to the graph when
-there is one and otherwise builds a throwaway one.  Callers that run many
-flows on one graph attach it once with `attach_network`, as Gusfield's
-construction and the Gomory-Hu verifier do (n-1 and n(n-1)/2 flows on the
-same graph).  The guided search in `treemincuts` does not: its per-call
-cache keeps every contracted child it builds alive until the call returns
-(7,422 child graphs in one n=512 `tree_mincuts` call), and a network on
-each would hold every arc a second time.  Such a network per cached graph
-is faster (five `sst-guided`-shaped operations took 0.935 s rather than
-1.01 s, and the n=512 call 4.3 s rather than 4.8 s) but raised that
-call's peak memory from 151 to 256 MB; ROADMAP direction 4 tracks the
-trade.
+Who keeps a network: `max_flow` keeps the network of the graph it last
+solved on (`_network`), matched by identity, and builds a new one only
+when called on another graph, so Gusfield's n-1 flows, the verifier's
+pairs and each base case of the guided search share one network.  It
+keeps at most one graph, and that graph's network, alive; networks are
+never mutated, so threads can share the kept pair or replace it.
 
 Flows between vertex sets (`max_flow_multi`, `isolating_cuts`) build the
 network straight from the graph's edges, each set relabelled to its
@@ -92,11 +86,17 @@ class ResidualNetwork:
         self.adj = adj
 
 
-def attach_network(g: Graph) -> ResidualNetwork:
-    """Build g's residual network once and keep it on g for later flows."""
-    net = g._net
-    if net is None:
-        net = g._net = ResidualNetwork(g.n, g.edges)
+_last: tuple[Graph | None, ResidualNetwork | None] = (None, None)
+
+
+def _network(g: Graph) -> ResidualNetwork:
+    """g's residual network.  `_last` keeps the graph last solved on with its
+    network; a call on another graph replaces the pair in one assignment."""
+    global _last
+    kept, net = _last
+    if kept is not g:
+        net = ResidualNetwork(g.n, g.edges)
+        _last = (g, net)
     return net
 
 
@@ -251,13 +251,11 @@ def max_flow(g: Graph, s: int, t: int) -> FlowResult:
     """Minimum s-t cut value and the cut with the minimal source side.
 
     Disconnected s and t yield value 0 with the component of s as the source
-    side.  s == t is rejected.  Solves on the residual network attached to
-    `g` when there is one (see `attach_network`), else on a throwaway one.
+    side.  s == t is rejected.  Back-to-back calls on one graph share its
+    residual network (see `_network`).
     """
     _check_pair(g.n, s, t)
-    net = g._net
-    if net is None:
-        net = ResidualNetwork(g.n, g.edges)
+    net = _network(g)
     value, reached = _dinic(net, s, t)
     return FlowResult(value, Cut(net.vertices.difference(reached), value))
 

@@ -119,8 +119,8 @@ NO_ID_ARGUMENTS = {
     # filled by the search, keyed by procedure name and budget
     "RecursionStats",
     # take only a checked Graph, SteinerTree or GomoryHuTree (and a Cut)
-    "attach_network", "build_gusfield", "centroid", "connected_components",
-    "decompose", "respects_count", "verify_gomory_hu",
+    "build_gusfield", "centroid", "connected_components", "decompose",
+    "respects_count", "verify_gomory_hu",
     # readers and writers: text or a path; the readers parse ids as ints
     "format_gh_tree", "format_graph", "format_tree", "load_gh_tree", "load_graph",
     "load_tree", "parse_gh_tree", "parse_graph", "parse_tree", "save_gh_tree",

@@ -182,7 +182,11 @@ def test_sstcv_verdicts(capsys, workspace):
     assert verdicts[4] == "loose"
 
 
-@pytest.mark.parametrize("estimates", ['{"3": "2"}', '{"3": 2.5}', '{"3": true}', "[2]"])
+@pytest.mark.parametrize("estimates", [
+    '{"3": "2"}', '{"3": 2.5}', '{"3": true}', "[2]",
+    # keys that name one terminal twice: the later one must not quietly win
+    '{"3": 5, "03": 105}', '{"3": 5, " 3": 5}', '{"3": 5, "+3": 5}', '{"3": 5, "3": 5}',
+])
 def test_sstcv_malformed_estimates_exit_two(capsys, workspace, estimates):
     _, gpath, _, tpath, tmp = workspace
     est_path = tmp / "est.json"
@@ -194,6 +198,8 @@ def test_sstcv_malformed_estimates_exit_two(capsys, workspace, estimates):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    if estimates.startswith("{"):
+        assert "terminal 3" in err
 
 
 def test_ghtree_verify_clean(capsys, workspace, tmp_path):

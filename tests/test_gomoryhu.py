@@ -269,6 +269,8 @@ def test_parse_reorients_edges():
     ("t 3\ne 1 0\ne 2 1\ns 0\nw 0 9\nw 1 4\nw 2 6\n", 5, "vertex 0, not a non-root"),
     ("t 3\ne 1 0\ne 2 1\ns 2\nw 1 4\nw 2 6\n", 4, "root must be vertex 0"),
     ("t 3\ne 1 0\nt 2\ns 0\nw 1 4\n", 3, "duplicate tree header"),
+    ("t 0\n", 1, "at least one vertex, got 0"),
+    ("c sizes below 1\nt -2\n", 2, "at least one vertex, got -2"),
 ])
 def test_parse_rejects_bad_weight_lines(text, line, message):
     with pytest.raises(GraphFormatError, match=message) as exc:

@@ -300,6 +300,10 @@ def test_dimacs_error_carries_line_number():
     with pytest.raises(GraphFormatError) as exc:
         parse_graph("p 3 0\nq zzz\n")
     assert exc.value.line == 2
+    for text, line in [("p 0 0\n", 1), ("c n below 1\np -3 0\n", 2)]:
+        with pytest.raises(GraphFormatError, match="at least one vertex") as exc:
+            parse_graph(text)
+        assert exc.value.line == line
     with pytest.raises(GraphFormatError):
         parse_graph("p 2 5\ne 0 1 1\n")
     with pytest.raises(GraphFormatError):

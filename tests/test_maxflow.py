@@ -5,9 +5,9 @@ import threading
 
 import pytest
 
+import ghcut.maxflow
 from ghcut import (
     Graph,
-    attach_network,
     brute_min_cut,
     build_gusfield,
     contract,
@@ -15,6 +15,7 @@ from ghcut import (
     generate,
     max_flow,
     max_flow_multi,
+    verify_gomory_hu,
 )
 
 
@@ -142,48 +143,69 @@ def test_multi_rejects_out_of_range_source(s):
         max_flow_multi(g, s, [1])
 
 
-def test_attached_network_reused_across_pairs():
-    # one network serves every ordered pair, twice, in shuffled order; each
-    # answer must match a fresh graph (no attached network) and the oracle
+def _count_network_builds(monkeypatch) -> list:
+    # every residual network built from now on appends its size here
+    builds: list = []
+    real = ghcut.maxflow.ResidualNetwork
+
+    def counting(n, edges):
+        builds.append(n)
+        return real(n, edges)
+
+    monkeypatch.setattr(ghcut.maxflow, "ResidualNetwork", counting)
+    return builds
+
+
+def test_kept_network_reused_across_pairs(monkeypatch):
+    # two graphs' ordered pairs, twice each, shuffled together: the kept
+    # network is both reused and replaced, and each answer must match a
+    # fresh graph's and the oracle's
     rng = random.Random("flow-reuse")
+    builds = _count_network_builds(monkeypatch)
     for inst in range(8):
         n = rng.randint(4, 10) if inst < 6 else 24
-        g = generate(rng.choice(["erdos-renyi-weighted", "clique", "planted-cut"]), n, seed=900 + inst)
-        attach_network(g)
-        pairs = [(s, t) for s in range(n) for t in range(n) if s != t] * 2
+        graphs = [generate(rng.choice(["erdos-renyi-weighted", "clique", "planted-cut"]), n,
+                           seed=900 + 2 * inst + i) for i in range(2)]
+        pairs = [(i, s, t) for i in range(2) for s in range(n) for t in range(n) if s != t] * 2
         rng.shuffle(pairs)
-        for s, t in pairs:
+        ref = {(i, s, t): max_flow(Graph(n, graphs[i].edges), s, t) for i, s, t in set(pairs)}
+        builds.clear()
+        for i, s, t in pairs:
+            g = graphs[i]
             res = max_flow(g, s, t)
-            ref = max_flow(Graph(n, g.edges), s, t)
-            assert res == ref
+            assert res == ref[i, s, t]
             if n <= 10:
                 ans = brute_min_cut(g, s, t)
                 assert res.value == ans.value
                 assert res.mincut.side == ans.maximal_side()
+        swaps = 1 + sum(a[0] != b[0] for a, b in zip(pairs, pairs[1:]))
+        assert len(builds) == swaps < len(pairs)
 
 
-def test_attaching_network_keeps_identity():
-    g = generate("erdos-renyi-weighted", 12, seed=3)
-    twin = Graph(g.n, g.edges)
-    before = (hash(g), repr(g))
-    net = attach_network(g)
-    assert attach_network(g) is net
-    assert g == twin and twin == g
-    assert (hash(g), repr(g)) == before == (hash(twin), repr(twin))
-    assert {twin: 1}[g] == 1
+def test_one_network_per_gusfield_build(monkeypatch):
+    # Gusfield's n-1 flows share one network, and the verifier's pairs on
+    # the same graph right after reuse it
+    g = generate("erdos-renyi-weighted", 40, seed=5)
+    builds = _count_network_builds(monkeypatch)
+    tree = build_gusfield(g)
+    assert builds == [40]
+    assert verify_gomory_hu(g, tree) is None
+    assert builds == [40]
 
 
 def test_shared_network_under_threads():
-    # four threads share one graph and its network; a solve that wrote into
-    # the shared capacities would corrupt other threads' answers
-    g = generate("erdos-renyi-weighted", 30, seed=11)
-    pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t][::7]
-    serial_tree = build_gusfield(Graph(g.n, g.edges))
-    serial_flows = [max_flow(Graph(g.n, g.edges), s, t) for s, t in pairs]
+    # four threads on two graphs share the kept network and keep replacing
+    # it; a solve that wrote into the shared capacities, or took another
+    # graph's network, would corrupt other threads' answers
+    graphs = [generate("erdos-renyi-weighted", 30, seed=seed) for seed in (11, 12)]
+    pairs = [(s, t) for s in range(30) for t in range(30) if s != t][::7]
+    serial_trees = [build_gusfield(Graph(g.n, g.edges)) for g in graphs]
+    serial_flows = [[max_flow(Graph(g.n, g.edges), s, t) for s, t in pairs] for g in graphs]
     results: list = [None] * 4
     errors: list = []
 
     def work(i):
+        g = graphs[i // 2]
         try:
             if i % 2:
                 results[i] = build_gusfield(g)
@@ -204,5 +226,5 @@ def test_shared_network_under_threads():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert not errors
-    assert results[1] == results[3] == serial_tree
-    assert results[0] == results[2] == serial_flows
+    assert results[1::2] == serial_trees
+    assert results[0::2] == serial_flows
