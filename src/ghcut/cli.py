@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import oracle
 from .gomoryhu import build_gusfield, format_gh_tree, verify_gomory_hu
-from .graph import GENERATOR_KINDS, format_graph, generate, load_graph
+from .graph import GENERATOR_KINDS, _decimal, format_graph, generate, load_graph
 from .isolating import isolating_cuts
 from .maxflow import max_flow
 from .steiner import load_tree, random_spanning_tree
@@ -32,7 +32,7 @@ from .treemincuts import (
 
 
 def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    return [_decimal(x.strip()) for x in text.split(",") if x.strip()]
 
 
 def _group_list(text: str) -> list[list[int]]:
@@ -225,7 +225,7 @@ def _cmd_sstcv(args) -> int:
         raise ValueError("estimates file must hold a JSON object: terminal -> value")
     estimates = {}
     for key, value in raw:
-        t = int(key)
+        t = _decimal(key)
         if t in estimates:
             raise ValueError(f"estimates file names terminal {t} more than once")
         estimates[t] = value

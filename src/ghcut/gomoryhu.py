@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, GraphFormatError, connected_components
+from .graph import Graph, GraphFormatError, _decimal, connected_components
 from .maxflow import max_flow
 
 
@@ -197,19 +197,19 @@ def parse_gh_tree(text: str) -> GomoryHuTree:
             if fields[0] == "t" and len(fields) == 2:
                 if size is not None:
                     raise GraphFormatError("duplicate tree header", lineno)
-                size = int(fields[1])
+                size = _decimal(fields[1])
                 if size < 1:
                     raise GraphFormatError(f"tree needs at least one vertex, got {size}", lineno)
             elif fields[0] == "e" and len(fields) == 3:
-                edges.append((int(fields[1]), int(fields[2])))
+                edges.append((_decimal(fields[1]), _decimal(fields[2])))
             elif fields[0] == "s" and len(fields) == 2:
-                if int(fields[1]) != 0:
+                if _decimal(fields[1]) != 0:
                     raise GraphFormatError("cut tree root must be vertex 0", lineno)
             elif fields[0] == "w" and len(fields) == 3:
-                v = int(fields[1])
+                v = _decimal(fields[1])
                 if v in weights:
                     raise GraphFormatError(f"duplicate weight line for vertex {v}", lineno)
-                weights[v] = (int(fields[2]), lineno)
+                weights[v] = (_decimal(fields[2]), lineno)
             else:
                 raise GraphFormatError(f"unknown record {line!r}", lineno)
         except GraphFormatError:

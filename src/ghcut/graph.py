@@ -156,6 +156,18 @@ class ContractionMap:
         return frozenset(v for v, q in enumerate(self.forward) if q in qs)
 
 
+def _decimal(text: str) -> int:
+    """The int that `text` spells as an optional '-' then ASCII digits.
+
+    `int` would also read '+1', ' 1', '1_0' (as 10) and non-ASCII digits;
+    the file readers and the command line take none of them.
+    """
+    if text.isdigit() and text.isascii() or (
+            text[:1] == "-" and text[1:].isdigit() and text.isascii()):
+        return int(text)
+    raise ValueError(f"not a decimal integer: {text!r}")
+
+
 def _check_pair(n: int, s: int, t: int) -> None:
     """Refuse a terminal pair unless both are ints (bool refused) in [0, n)
     and distinct."""
@@ -398,18 +410,20 @@ def parse_graph(text: str, fmt: str = "dimacs") -> Graph:
             if len(fields) != 3:
                 raise GraphFormatError("header must be 'p <n> <m>'", lineno)
             try:
-                n, m = int(fields[1]), int(fields[2])
+                n, m = _decimal(fields[1]), _decimal(fields[2])
             except ValueError as exc:
                 raise GraphFormatError(f"bad header: {exc}", lineno) from exc
             if n < 1:
                 raise GraphFormatError(f"graph needs at least one vertex, got n={n}", lineno)
+            if m < 0:
+                raise GraphFormatError(f"edge count may not be negative, got m={m}", lineno)
         elif fields[0] == "e":
             if n is None:
                 raise GraphFormatError("edge before header", lineno)
             if len(fields) != 4:
                 raise GraphFormatError("edge must be 'e <u> <v> <w>'", lineno)
             try:
-                u, v, w = int(fields[1]), int(fields[2]), int(fields[3])
+                u, v, w = _decimal(fields[1]), _decimal(fields[2]), _decimal(fields[3])
             except ValueError as exc:
                 raise GraphFormatError(f"bad edge: {exc}", lineno) from exc
             if not (0 <= u < n and 0 <= v < n):

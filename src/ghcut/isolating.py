@@ -2,11 +2,12 @@
 
 Given g >= 2 disjoint groups, computes for every group the minimum-weight
 cut separating it from all other groups, using ceil(log2 g) bipartition
-max-flows to localise each group's region followed by one max-flow per
-group against everything outside its region, all on `g` with the vertex
-sets merged.  Each reported side is the unique minimal optimal one (the
-residual-reachability side nearest the group), so the sides are pairwise
-disjoint.
+max-flows to localise each group's region, then one max-flow per group
+against everything outside its region, all on `g` with the vertex sets
+merged.  A group whose region is the group itself needs no flow: its only
+isolating cut inside the region is its own boundary.  Each reported side
+is the unique minimal optimal one (the residual-reachability side nearest
+the group), so the sides are pairwise disjoint.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import Cut, Graph, _vertex_groups
-from .maxflow import _merged_flow
+from .maxflow import _merged_flow, _network
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,12 @@ def isolating_cuts(g: Graph, groups: Sequence[Iterable[int]]) -> list[GroupCut]:
 
     results: list[GroupCut] = []
     for grp, region in zip(gsets, regions):
+        if region == grp:
+            # the group's own boundary is the only cut inside its region
+            net = _network(g)
+            value = sum(net.cap0[e] for v in grp for e in net.adj[v] if net.to[e] not in grp)
+            results.append(GroupCut(grp, grp, value))
+            continue
         res = _merged_flow(g, grp, everything - region)
         results.append(GroupCut(grp, everything - res.mincut.side, res.value))
     return results

@@ -6,16 +6,19 @@ reverses, both starting at the edge weight).  The arcs live in a
 each solve works on its own copy of the capacities, so one network can be
 reused across flows and shared between threads.
 
-Who keeps a network: `max_flow` keeps the network of the graph it last
-solved on (`_network`), matched by identity, and builds a new one only
-when called on another graph, so Gusfield's n-1 flows, the verifier's
-pairs and each base case of the guided search share one network.  It
-keeps at most one graph, and that graph's network, alive; networks are
-never mutated, so threads can share the kept pair or replace it.
+Who keeps a network: every flow solves on the network of the graph last
+solved on (`_network`), matched by identity, and a new one is built only
+for a call on another graph, so Gusfield's n-1 flows, the verifier's
+pairs, each base case of the guided search and an `isolating_cuts`
+call's flows share one network.  At most one graph, and that graph's
+network, is kept alive; networks are never mutated, so threads can share
+the kept pair or replace it.
 
-Flows between vertex sets (`max_flow_multi`, `isolating_cuts`) build the
-network straight from the graph's edges, each set relabelled to its
-smallest vertex (`_merged_flow`), so the cut comes back in the graph's ids.
+Flows between vertex sets (`max_flow_multi`, `isolating_cuts`) solve on a
+per-call view of the same kept network (`_merged_flow`): each set is
+merged into its smallest vertex by copying only the arc heads and the
+adjacency lists, so no network is built and the cut comes back in the
+graph's ids.
 
 Each phase's levels come from one search grown from both terminals
 (`_levels`), a level at a time on the side whose frontier is smaller, as
@@ -262,21 +265,33 @@ def max_flow(g: Graph, s: int, t: int) -> FlowResult:
 
 def _merged_flow(g: Graph, sources: Collection[int], sinks: Collection[int]) -> FlowResult:
     """Minimum cut of `g` between two disjoint nonempty vertex sets, each
-    merged into one node; self-loops are skipped, parallel arcs kept.
+    merged into one node, solved on a view of g's kept network.
 
-    Every set member but the one its set is relabelled to keeps no arc, so
-    the search never reaches it: a source member goes to the source side
-    by name, and a sink member stays on the sink side.
+    The view shares `cap0` and copies `to` and `adj`.  Each arc leaving a
+    set gets the set's smallest member as its tail: its reverse, the arc
+    entering the set, gets that member as its head, and the member's
+    adjacency lists the arcs leaving the set, in arc order, which is the
+    order a network built from the merged edges would list them in.  The
+    other members get no arcs and no arc points to them, so the search
+    never reaches them: a source member goes to the source side by name,
+    and a sink member stays on the sink side.  Arcs inside a set are left
+    out, as self-loops would be.  The kept network is never written.
     """
-    label = list(range(g.n))
+    net = _network(g)
+    to, adj = net.to[:], net.adj[:]
     s, t = min(sources), min(sinks)
-    for v in sources:
-        label[v] = s
-    for v in sinks:
-        label[v] = t
-    net = ResidualNetwork(g.n, ((label[u], label[v], w) for u, v, w in g.edges
-                                if label[u] != label[v]))
-    value, reached = _dinic(net, s, t)
+    for members, end in ((sources, s), (sinks, t)):
+        inside = frozenset(members)
+        out = [e for v in inside for e in net.adj[v] if net.to[e] not in inside]
+        for e in out:
+            to[e ^ 1] = end
+        for v in inside:
+            adj[v] = ()
+        out.sort()
+        adj[end] = out
+    view = object.__new__(type(net))
+    view.n, view.vertices, view.cap0, view.to, view.adj = net.n, net.vertices, net.cap0, to, adj
+    value, reached = _dinic(view, s, t)
     return FlowResult(value, Cut(net.vertices.difference(reached, sources), value))
 
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Cut, Graph, GraphFormatError
+from .graph import Cut, Graph, GraphFormatError, _decimal
 
 
 class SteinerTree:
@@ -294,7 +294,7 @@ def parse_tree(text: str) -> SteinerTree:
             if len(fields) != 2:
                 raise GraphFormatError("tree header must be 't <k>'", lineno)
             try:
-                size = int(fields[1])
+                size = _decimal(fields[1])
             except ValueError as exc:
                 raise GraphFormatError(f"bad tree header: {exc}", lineno) from exc
         elif fields[0] == "e":
@@ -303,7 +303,7 @@ def parse_tree(text: str) -> SteinerTree:
             if len(fields) != 3:
                 raise GraphFormatError("tree edge must be 'e <u> <v>'", lineno)
             try:
-                edges.append((int(fields[1]), int(fields[2])))
+                edges.append((_decimal(fields[1]), _decimal(fields[2])))
             except ValueError as exc:
                 raise GraphFormatError(f"bad tree edge: {exc}", lineno) from exc
         elif fields[0] == "s":
@@ -312,7 +312,7 @@ def parse_tree(text: str) -> SteinerTree:
             if len(fields) != 2:
                 raise GraphFormatError("source line must be 's <vertex>'", lineno)
             try:
-                source = int(fields[1])
+                source = _decimal(fields[1])
             except ValueError as exc:
                 raise GraphFormatError(f"bad source: {exc}", lineno) from exc
         else:

@@ -185,7 +185,7 @@ def test_sstcv_verdicts(capsys, workspace):
 @pytest.mark.parametrize("estimates", [
     '{"3": "2"}', '{"3": 2.5}', '{"3": true}', "[2]",
     # keys that name one terminal twice: the later one must not quietly win
-    '{"3": 5, "03": 105}', '{"3": 5, " 3": 5}', '{"3": 5, "+3": 5}', '{"3": 5, "3": 5}',
+    '{"3": 5, "03": 105}', '{"3": 5, "3": 5}',
 ])
 def test_sstcv_malformed_estimates_exit_two(capsys, workspace, estimates):
     _, gpath, _, tpath, tmp = workspace
@@ -200,6 +200,43 @@ def test_sstcv_malformed_estimates_exit_two(capsys, workspace, estimates):
     assert err.startswith("error: ") and "Traceback" not in err
     if estimates.startswith("{"):
         assert "terminal 3" in err
+
+
+@pytest.mark.parametrize("key", [" 3", "+3", "3_0", "\u0663", "3.0"])
+def test_sstcv_estimate_key_not_plain_decimal_exit_two(capsys, workspace, key):
+    # int() reads every one of these but the last as a terminal id
+    _, gpath, _, tpath, tmp = workspace
+    est_path = tmp / "est.json"
+    est_path.write_text(json.dumps({"3": 5, key: 5}))
+    code, out, err = run_cli(
+        capsys,
+        ["sstcv", gpath, "--source", "0", "--estimates", str(est_path), "--trees", tpath,
+         "--k", "1"],
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: not a decimal integer: {key!r}")
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["isolate", "{g}", "--groups", "0,1_0;4"], "1_0"),
+    (["isolate", "{g}", "--groups", "0;+4"], "+4"),
+    (["oracle", "steiner", "{g}", "--terminals", "0,\u0663"], "\u0663"),
+    (["oracle", "isolating", "{g}", "--groups", "0;0x5"], "0x5"),
+    (["bench", "--sizes", "1_6", "--k", "1", "--seeds", "0"], "1_6"),
+    (["bench", "--sizes", "16", "--k", "1", "--seeds", "+0"], "+0"),
+])
+def test_id_lists_not_plain_decimal_exit_two(capsys, workspace, argv, bad):
+    _, gpath, _, _, _ = workspace
+    code, out, err = run_cli(capsys, [a.format(g=gpath) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: not a decimal integer: {bad!r}")
+
+
+def test_id_lists_allow_blanks_around_items(capsys, workspace):
+    _, gpath, _, _, _ = workspace
+    code, out, _ = run_cli(capsys, ["isolate", gpath, "--groups", " 0, 1 ; 4;7 "])
+    assert code == 0
+    assert [c["group"] for c in json.loads(out)["cuts"]] == [[0, 1], [4], [7]]
 
 
 def test_ghtree_verify_clean(capsys, workspace, tmp_path):

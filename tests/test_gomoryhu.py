@@ -271,6 +271,9 @@ def test_parse_reorients_edges():
     ("t 3\ne 1 0\nt 2\ns 0\nw 1 4\n", 3, "duplicate tree header"),
     ("t 0\n", 1, "at least one vertex, got 0"),
     ("c sizes below 1\nt -2\n", 2, "at least one vertex, got -2"),
+    ("t +3\n", 1, "not a decimal integer: '\\+3'"),
+    ("t 3\ne 1 0\ne 2 1\ns 0\nw 1 4\nw 2 1_0\n", 6, "not a decimal integer: '1_0'"),
+    ("t 3\ne 1 0\ne \u0662 1\n", 3, "not a decimal integer"),
 ])
 def test_parse_rejects_bad_weight_lines(text, line, message):
     with pytest.raises(GraphFormatError, match=message) as exc:

@@ -304,10 +304,24 @@ def test_dimacs_error_carries_line_number():
         with pytest.raises(GraphFormatError, match="at least one vertex") as exc:
             parse_graph(text)
         assert exc.value.line == line
+    with pytest.raises(GraphFormatError, match="may not be negative") as exc:
+        parse_graph("c m below 0\np 3 -1\n")
+    assert exc.value.line == 2
     with pytest.raises(GraphFormatError):
         parse_graph("p 2 5\ne 0 1 1\n")
     with pytest.raises(GraphFormatError):
         parse_graph("")
+
+
+@pytest.mark.parametrize("spelling", ["+1", "1_0", "\u0661", "1.0", "0x1", "--1", "-"])
+def test_dimacs_numbers_are_plain_decimal(spelling):
+    # int() reads all but the last three, '1_0' as 10
+    for text, line in [(f"p {spelling} 0\n", 1), (f"p 3 {spelling}\n", 1),
+                       (f"p 3 1\ne 0 {spelling} 1\n", 2), (f"p 3 1\ne 0 2 {spelling}\n", 2)]:
+        with pytest.raises(GraphFormatError, match=re.escape(f"not a decimal integer: {spelling!r}")) as exc:
+            parse_graph(text)
+        assert exc.value.line == line
+    assert parse_graph("p 003 1\ne 0 02 010\n") == Graph(3, [(0, 2, 10)])
 
 
 def test_json_parse_error():

@@ -1,8 +1,10 @@
 """Isolating cuts: exact values, minimal sides, disjointness."""
+import math
 import random
 
 import pytest
 
+import ghcut.maxflow
 from ghcut import (
     Graph,
     brute_isolating_cuts,
@@ -44,6 +46,35 @@ def test_values_and_minimal_sides_match_oracle():
         for cut, ans in zip(got, want):
             assert cut.value == ans.value
             assert frozenset(cut.side) == ans.minimal_side()
+
+
+def test_groups_their_regions_isolate_run_no_flow(monkeypatch):
+    # groups that cover every vertex each get a region equal to the group,
+    # so the ceil(log2 G) bipartition flows are the only solves, and each
+    # side is the group with its boundary as the value
+    solves = []
+    dinic = ghcut.maxflow._dinic
+
+    def counted_dinic(*args):
+        solves.append(args[1:])
+        return dinic(*args)
+
+    monkeypatch.setattr(ghcut.maxflow, "_dinic", counted_dinic)
+    rng = random.Random("iso-partition")
+    for inst in range(16):
+        n = rng.randint(4, 12)
+        g = generate(rng.choice(["erdos-renyi-weighted", "clique", "planted-cut"]), n,
+                     seed=300 + inst)
+        verts = list(range(n))
+        rng.shuffle(verts)
+        count = rng.randint(2, n)
+        groups = [verts[i::count] for i in range(count)]
+        solves.clear()
+        got = isolating_cuts(g, groups)
+        assert len(solves) == math.ceil(math.log2(count))
+        for cut, grp, ans in zip(got, groups, brute_isolating_cuts(g, groups)):
+            assert cut.side == frozenset(grp) == ans.minimal_side()
+            assert cut.value == ans.value == cut_value(g, grp)
 
 
 def test_sides_disjoint_and_contain_groups():

@@ -13,6 +13,7 @@ from ghcut import (
     contract,
     cut_value,
     generate,
+    isolating_cuts,
     max_flow,
     max_flow_multi,
     verify_gomory_hu,
@@ -193,14 +194,36 @@ def test_one_network_per_gusfield_build(monkeypatch):
     assert builds == [40]
 
 
+def test_set_flows_leave_the_kept_network_as_built():
+    # set flows solve on a view of the graph's kept network with each set
+    # merged into one node; a view that wrote its merging into the network
+    # would hand the next flow on the graph another instance
+    g = generate("erdos-renyi-weighted", 24, seed=8)
+    net = ghcut.maxflow._network(g)
+    fresh = ghcut.maxflow.ResidualNetwork(g.n, g.edges)
+    for flows in (lambda: max_flow_multi(g, 0, [5, 9, 17]),
+                  lambda: isolating_cuts(g, [[0, 1], [6], [11, 12, 13], [20]])):
+        flows()
+        assert ghcut.maxflow._network(g) is net
+        assert (net.to, net.adj, net.cap0) == (fresh.to, fresh.adj, fresh.cap0)
+    assert max_flow(g, 5, 0) == max_flow(Graph(g.n, g.edges), 5, 0)
+
+
 def test_shared_network_under_threads():
     # four threads on two graphs share the kept network and keep replacing
-    # it; a solve that wrote into the shared capacities, or took another
-    # graph's network, would corrupt other threads' answers
+    # it; a solve that wrote into the shared capacities or arc heads, or
+    # took another graph's network, would corrupt other threads' answers
     graphs = [generate("erdos-renyi-weighted", 30, seed=seed) for seed in (11, 12)]
     pairs = [(s, t) for s in range(30) for t in range(30) if s != t][::7]
+    groups = [[[s], [t], [(s + t) % 30]] for s, t in pairs if (s + t) % 30 not in (s, t)]
+
+    def flows(g):
+        return ([max_flow(g, s, t) for s, t in pairs]
+                + [max_flow_multi(g, s, [t, (t + 1) % 30]) for s, t in pairs if (t + 1) % 30 != s]
+                + [isolating_cuts(g, grps) for grps in groups])
+
     serial_trees = [build_gusfield(Graph(g.n, g.edges)) for g in graphs]
-    serial_flows = [[max_flow(Graph(g.n, g.edges), s, t) for s, t in pairs] for g in graphs]
+    serial_flows = [flows(Graph(g.n, g.edges)) for g in graphs]
     results: list = [None] * 4
     errors: list = []
 
@@ -210,7 +233,7 @@ def test_shared_network_under_threads():
             if i % 2:
                 results[i] = build_gusfield(g)
             else:
-                results[i] = [max_flow(g, s, t) for s, t in pairs]
+                results[i] = flows(g)
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 

@@ -390,6 +390,11 @@ def test_tree_parse_errors():
     with pytest.raises(GraphFormatError, match="duplicate source") as exc:
         parse_tree("t 2\ne 0 1\ns 0\ns 1\n")
     assert exc.value.line == 4
+    for text, line in [("t +2\ne 0 1\ns 0\n", 1), ("t 2\ne 0 1_0\ns 0\n", 2),
+                       ("t 2\ne 0 1\ns \u0660\n", 3)]:
+        with pytest.raises(GraphFormatError, match="not a decimal integer") as exc:
+            parse_tree(text)
+        assert exc.value.line == line
 
 
 def test_tree_save_and_load(tmp_path):
