@@ -31,6 +31,25 @@ from .treemincuts import (
 )
 
 
+def _int_arg(text: str) -> int:
+    """`_decimal` as an argparse type: a refused value is a usage error."""
+    try:
+        return _decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _float_arg(text: str) -> float:
+    """`float`, less what `_decimal` refuses: '_', blanks, a leading '+' and
+    non-ASCII characters."""
+    try:
+        if text.isascii() and "_" not in text and text[:1] != "+" and text.split() == [text]:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}")
+
+
 def _ints(text: str) -> list[int]:
     return [_decimal(x.strip()) for x in text.split(",") if x.strip()]
 
@@ -360,20 +379,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random graph")
     p.add_argument("--kind", default="erdos-renyi-weighted", choices=GENERATOR_KINDS)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--seed", default="0")
-    p.add_argument("--weight-lo", type=int, default=1)
-    p.add_argument("--weight-hi", type=int, default=10)
-    p.add_argument("--p", type=float, default=None, help="edge probability")
-    p.add_argument("--planted-value", type=int, default=None)
+    p.add_argument("--weight-lo", type=_int_arg, default=1)
+    p.add_argument("--weight-hi", type=_int_arg, default=10)
+    p.add_argument("--p", type=_float_arg, default=None, help="edge probability")
+    p.add_argument("--planted-value", type=_int_arg, default=None)
     p.add_argument("--format", default="dimacs", choices=("dimacs", "json"))
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("maxflow", help="minimum s-t cut")
     add_common(p)
-    p.add_argument("-s", "--source", type=int, required=True)
-    p.add_argument("-t", "--sink", type=int, required=True)
+    p.add_argument("-s", "--source", type=_int_arg, required=True)
+    p.add_argument("-t", "--sink", type=_int_arg, required=True)
     p.set_defaults(func=_cmd_maxflow)
 
     p = sub.add_parser("isolate", help="minimum isolating cuts")
@@ -384,22 +403,22 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, search in (("tree-mincuts", tree_mincuts), ("leaf-mincuts", leaf_mincuts)):
         p = sub.add_parser(name, help=f"guided search ({name})")
         add_common(p, tree_file=True)
-        p.add_argument("--k", type=int, required=True, help="tree crossing budget")
+        p.add_argument("--k", type=_int_arg, required=True, help="tree crossing budget")
         p.add_argument("--seed", default="0")
-        p.add_argument("--reps-coeff", type=float, default=3.0)
+        p.add_argument("--reps-coeff", type=_float_arg, default=3.0)
         p.add_argument("--stats", default=None, help="write per-level stats JSON here")
         p.add_argument("--witnesses", action="store_true", help="include witness sides")
         p.set_defaults(func=_cmd_mincuts, search=search)
 
     p = sub.add_parser("sstcv", help="classify cut estimates as tight or loose")
     add_common(p)
-    p.add_argument("--source", type=int, required=True)
+    p.add_argument("--source", type=_int_arg, required=True)
     p.add_argument("--estimates", required=True, help="JSON file: terminal -> value")
     p.add_argument("--trees", nargs="+", required=True, help="guide tree files")
     p.add_argument("--terminals", default=None, help="defaults to the estimate keys")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
     p.add_argument("--seed", default="0")
-    p.add_argument("--reps-coeff", type=float, default=6.0)
+    p.add_argument("--reps-coeff", type=_float_arg, default=6.0)
     p.add_argument("--stats", default=None)
     p.set_defaults(func=_cmd_sstcv)
 
@@ -416,19 +435,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("graph", help="graph file")
     p.add_argument("--format", default="dimacs", choices=("dimacs", "json"))
-    p.add_argument("-s", "--source", type=int, default=None)
-    p.add_argument("-t", "--sink", type=int, default=None)
+    p.add_argument("-s", "--source", type=_int_arg, default=None)
+    p.add_argument("-t", "--sink", type=_int_arg, default=None)
     p.add_argument("--tree", default=None, help="guide tree file")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_int_arg, default=None)
     p.add_argument("--groups", default=None)
     p.add_argument("--terminals", default=None)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="recursion size totals across graph sizes")
     p.add_argument("--sizes", default="64,128,256,512,1024")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_int_arg, default=2)
     p.add_argument("--seeds", default="0,1")
-    p.add_argument("--reps-coeff", type=float, default=1.0)
+    p.add_argument("--reps-coeff", type=_float_arg, default=1.0)
     p.add_argument("--kind", default="erdos-renyi-weighted", choices=GENERATOR_KINDS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bench)

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, GraphFormatError, _decimal, connected_components
+from .graph import Graph, GraphFormatError, _decimal
 from .maxflow import max_flow
+from .steiner import _walk
 
 
 class GomoryHuTree:
@@ -42,19 +43,14 @@ class GomoryHuTree:
                 raise ValueError(f"vertex {v} has out-of-range parent {parent[v]!r}")
             if type(weight[v]) is not int or weight[v] < 1:
                 raise ValueError(f"vertex {v} has edge weight {weight[v]!r}, not a positive integer")
-        # climbing from every vertex must reach the root: rules out cycles
-        depth = [-1] * n
-        depth[0] = 0
-        for v in range(1, n):
-            trail = []
-            u = v
-            while depth[u] < 0:
-                trail.append(u)
-                u = parent[u]
-                if u < 0 or len(trail) > n:
-                    raise ValueError("parent pointers do not form a tree")
-            for i, x in enumerate(reversed(trail)):
-                depth[x] = depth[u] + i + 1
+        # n-1 pointers reach every vertex from the root exactly when they
+        # form a tree, and then the walk's parents are the pointers
+        order, _ = _walk(range(n), [(parent[v], v) for v in range(1, n)], 0)
+        if len(order) != n:
+            raise ValueError("parent pointers do not form a tree")
+        depth = [0] * n
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
         self.parent = parent
         self.weight = weight
         self.depth = tuple(depth)
@@ -115,13 +111,12 @@ def build_gusfield(g: Graph) -> GomoryHuTree:
     when the grandparent falls on i's side as well, i takes its parent's
     place in the tree.  When i is alone on its side, as in most steps on
     sparse graphs, neither can happen and the step ends there.
-    Disconnected graphs are rejected.
+    Disconnected graphs are rejected by the flows themselves: with positive
+    weights only a disconnected graph has a cut of value 0.
     """
     n = g.n
     if n < 2:
         raise ValueError("need at least two vertices to build a cut tree")
-    if len(connected_components(g)) != 1:
-        raise ValueError("graph is disconnected; cut tree requires a connected graph")
     parent = [0] * n
     parent[0] = -1
     weight = [0] * n
@@ -130,6 +125,8 @@ def build_gusfield(g: Graph) -> GomoryHuTree:
         res = max_flow(g, i, t)
         sink_side = res.mincut.side  # contains t, not i
         weight[i] = res.value
+        if res.value == 0:
+            raise ValueError("graph is disconnected; cut tree requires a connected graph")
         if len(sink_side) == n - 1:
             continue
         for j in range(i + 1, n):
@@ -220,24 +217,13 @@ def parse_gh_tree(text: str) -> GomoryHuTree:
         raise GraphFormatError("missing 't <k>' header")
     if len(edges) != size - 1:
         raise GraphFormatError(f"expected {size - 1} edges, got {len(edges)}")
-    adj: dict[int, list[int]] = {v: [] for v in range(size)}
     for u, v in edges:
         if not (0 <= u < size and 0 <= v < size):
             raise GraphFormatError(f"edge ({u},{v}) out of range")
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = [-1] * size
-    order = [0]
-    seen = {0}
-    while order:
-        u = order.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                parent[v] = u
-                order.append(v)
-    if len(seen) != size:
+    order, walked = _walk(range(size), edges, 0)
+    if len(order) != size:
         raise GraphFormatError("tree edges do not connect all vertices")
+    parent = [-1] + [walked[v] for v in range(1, size)]
     weight = [0] * size
     for v in range(1, size):
         if v not in weights:

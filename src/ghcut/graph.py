@@ -36,11 +36,11 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable weighted undirected graph.
 
-    Its only caches are `_adj` and `_hash`, each filled on first use;
-    nothing else writes to a graph after it is built.
+    Its only cache is `_hash`, filled on first use; nothing else writes to
+    a graph after it is built.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_hash")
+    __slots__ = ("n", "edges", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         # n and endpoints must be ints (bool is refused); a weight may also
@@ -75,7 +75,6 @@ class Graph:
         self.edges: tuple[tuple[int, int, int], ...] = tuple(
             sorted((u, v, w) for (u, v), w in merged.items())
         )
-        self._adj: tuple[tuple[tuple[int, int], ...], ...] | None = None
         self._hash: int | None = None
 
     @classmethod
@@ -85,7 +84,6 @@ class Graph:
         g = cls.__new__(cls)
         g.n = n
         g.edges = tuple(sorted((u, v, w) for (u, v), w in merged.items()))
-        g._adj = None
         g._hash = None
         return g
 
@@ -98,14 +96,13 @@ class Graph:
         return sum(w for _, _, w in self.edges)
 
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex tuple of (neighbour, weight) pairs, built lazily."""
-        if self._adj is None:
-            lists: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-            for u, v, w in self.edges:
-                lists[u].append((v, w))
-                lists[v].append((u, w))
-            self._adj = tuple(tuple(l) for l in lists)
-        return self._adj
+        """Per-vertex tuple of (neighbour, weight) pairs, built anew on each
+        call; callers that walk the graph keep their own."""
+        lists: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for u, v, w in self.edges:
+            lists[u].append((v, w))
+            lists[v].append((u, w))
+        return tuple(tuple(l) for l in lists)
 
     def weighted_degree(self, v: int) -> int:
         return sum(w for _, w in self.adjacency()[v])

@@ -45,19 +45,7 @@ class SteinerTree:
             raise ValueError("duplicate tree edge")
         if len(es) != len(vs) - 1:
             raise ValueError(f"{len(vs)} vertices need {len(vs) - 1} tree edges, got {len(es)}")
-        adj: dict[int, list[int]] = {v: [] for v in vs}
-        for u, v in es:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {source}
-        stack = [source]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != len(vs):
+        if len(_walk(vs, es, source)[0]) != len(vs):
             raise ValueError("tree edges do not connect the vertex set")
         self.vertices = vs
         self.edges = es
@@ -68,13 +56,9 @@ class SteinerTree:
         return len(self.vertices)
 
     def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for v in adj:
-            adj[v].sort()
-        return adj
+        """Neighbour lists, each sorted: the edges are sorted (u, v) pairs
+        with u < v, so a vertex meets its lower neighbours first."""
+        return _adjacency(self.vertices, self.edges)
 
     def degree(self, v: int) -> int:
         return sum(1 for u, w in self.edges if v in (u, w))
@@ -101,6 +85,34 @@ def _vertex_set(vertices: Iterable[int]) -> set[int]:
         if type(v) is not int:
             raise ValueError(f"tree vertex {v!r} is not an integer")
     return set(vs)
+
+
+def _adjacency(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    """Neighbour lists, each in edge order."""
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _walk(vertices: Iterable[int], edges: Iterable[tuple[int, int]],
+          root: int) -> tuple[list[int], dict[int, int]]:
+    """Preorder and parents (the root its own) of what `root` reaches by a
+    stack DFS that marks a vertex when it pushes it; on a tree every
+    subtree is a contiguous run of the preorder."""
+    adj = _adjacency(vertices, edges)
+    parent = {root: root}
+    order: list[int] = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for v in adj[u]:
+            if v not in parent:
+                parent[v] = u
+                stack.append(v)
+    return order, parent
 
 
 @dataclass(frozen=True)
@@ -134,25 +146,12 @@ def centroid(t: SteinerTree) -> int:
 def decompose(t: SteinerTree) -> Decomposition:
     """Centroid split of `t`; see `Decomposition` for the part semantics.
 
-    One DFS from the source gives every part: parents, subtree sizes, and a
-    preorder in which the subtree of the vertex at position i is the run
+    One `_walk` from the source gives every part: parents, subtree sizes, and
+    a preorder in which the subtree of the vertex at position i is the run
     `order[i : i + size[order[i]]]`.
     """
     s, n = t.source, t.size
-    adj: dict[int, list[int]] = {v: [] for v in t.vertices}
-    for u, v in t.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = {s: s}
-    order: list[int] = []
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for v in adj[u]:
-            if v not in parent:
-                parent[v] = u
-                stack.append(v)
+    order, parent = _walk(t.vertices, t.edges, s)
     size = dict.fromkeys(order, 1)
     heavy = dict.fromkeys(order, 0)  # size of the largest child subtree
     for u in order[:0:-1]:  # children before parents, the source skipped
@@ -224,11 +223,19 @@ def prune_sample(
             removed |= p
     if not removed:
         return t
-    kept = [v for v in t.vertices if v not in removed]
-    edges = [e for e in t.edges if e[0] not in removed and e[1] not in removed]
     # a part that does not hang off the tree leaves it disconnected, which
     # SteinerTree rejects
-    return SteinerTree(kept, edges, t.source)
+    return _subtree(t, vset - removed)
+
+
+def _subtree(tree: SteinerTree, verts: Iterable[int],
+             extra_edges: Sequence[tuple[int, int]] = ()) -> SteinerTree:
+    """Subtree induced on `verts` (which must include the source), plus any
+    explicitly added edges."""
+    vset = set(verts)
+    edges = [(u, v) for u, v in tree.edges if u in vset and v in vset]
+    edges.extend(extra_edges)
+    return SteinerTree(vset, edges, tree.source)
 
 
 def random_steiner_tree(vertices: Iterable[int], source: int, rng: random.Random) -> SteinerTree:
@@ -282,7 +289,6 @@ def parse_tree(text: str) -> SteinerTree:
     size = None
     source = None
     edges: list[tuple[int, int]] = []
-    single_vertex: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 from .graph import ContractionMap, Cut, Graph, contract
 from .isolating import isolating_cuts
 from .maxflow import max_flow, max_flow_multi
-from .steiner import SteinerTree, decompose, prune_sample
+from .steiner import SteinerTree, _subtree, decompose, prune_sample
 
 # Trees at most this large are handled by one exact max-flow per terminal.
 BASE_TREE_SIZE = 6
@@ -194,16 +194,6 @@ def _enter(procedure: str, g: Graph, tree: SteinerTree, k: int, cuts: CandidateC
                 cuts.offer(t, res.value, res.mincut)
         return False
     return True
-
-
-def _subtree(tree: SteinerTree, verts: Iterable[int],
-             extra_edges: Sequence[tuple[int, int]] = ()) -> SteinerTree:
-    """Subtree induced on `verts` (which must include the source), plus any
-    explicitly added edges."""
-    vset = set(verts)
-    edges = [(u, v) for u, v in tree.edges if u in vset and v in vset]
-    edges.extend(extra_edges)
-    return SteinerTree(vset, edges, tree.source)
 
 
 def _source_edge(tree: SteinerTree, c: int) -> tuple[tuple[int, int], ...]:

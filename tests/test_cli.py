@@ -232,6 +232,59 @@ def test_id_lists_not_plain_decimal_exit_two(capsys, workspace, argv, bad):
     assert err.startswith(f"error: not a decimal integer: {bad!r}")
 
 
+# every numeric option, each refused spelling: '_', a leading '+', blanks
+# and non-ASCII digits; argparse refuses them before any file is read
+@pytest.mark.parametrize("argv, bad", [
+    (["gen", "--n", "1_0"], "1_0"),
+    (["gen", "--n", "+9"], "+9"),
+    (["gen", "--n", " 9"], " 9"),
+    (["gen", "--n", "\u0661\u0662"], "\u0661\u0662"),
+    (["gen", "--n", "9", "--weight-lo", "+1"], "+1"),
+    (["gen", "--n", "9", "--weight-hi", "1_0"], "1_0"),
+    (["gen", "--n", "9", "--planted-value", "\u0663"], "\u0663"),
+    (["gen", "--n", "9", "--p", "0_5"], "0_5"),
+    (["gen", "--n", "9", "--p", "+0.5"], "+0.5"),
+    (["gen", "--n", "9", "--p", "0.5 "], "0.5 "),
+    (["gen", "--n", "9", "--p", "\u0660.5"], "\u0660.5"),
+    (["gen", "--n", "9", "--p", "half"], "half"),
+    (["maxflow", "{g}", "-s", "1_0", "-t", "1"], "1_0"),
+    (["maxflow", "{g}", "-s", "0", "-t", "+1"], "+1"),
+    (["tree-mincuts", "{g}", "{t}", "--k", "+2"], "+2"),
+    (["tree-mincuts", "{g}", "{t}", "--k", "2", "--reps-coeff", "3_0"], "3_0"),
+    (["leaf-mincuts", "{g}", "{t}", "--k", "\u0662"], "\u0662"),
+    (["leaf-mincuts", "{g}", "{t}", "--k", "2", "--reps-coeff", "+3"], "+3"),
+    (["sstcv", "{g}", "--source", " 0", "--estimates", "e.json", "--trees", "{t}", "--k", "2"], " 0"),
+    (["sstcv", "{g}", "--source", "0", "--estimates", "e.json", "--trees", "{t}", "--k", "2_"], "2_"),
+    (["sstcv", "{g}", "--source", "0", "--estimates", "e.json", "--trees", "{t}", "--k", "2",
+      "--reps-coeff", "\u0666"], "\u0666"),
+    (["oracle", "mincut", "{g}", "-s", "+0", "-t", "1"], "+0"),
+    (["oracle", "mincut", "{g}", "-s", "0", "-t", "0x1"], "0x1"),
+    (["oracle", "respecting", "{g}", "-s", "0", "-t", "1", "--tree", "{t}", "--k", "1_0"], "1_0"),
+    (["bench", "--sizes", "16", "--k", "+1", "--seeds", "0"], "+1"),
+    (["bench", "--sizes", "16", "--k", "1", "--seeds", "0", "--reps-coeff", "1_0"], "1_0"),
+])
+def test_numeric_options_not_plain_decimal_exit_two(capsys, workspace, argv, bad):
+    _, gpath, _, tpath, _ = workspace
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(g=gpath, t=tpath) for a in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    kind = "number" if argv[-2] in ("--p", "--reps-coeff") else "integer"
+    assert out == ""
+    assert f"not a decimal {kind}: {bad!r}" in err
+    assert "Traceback" not in err
+
+
+def test_float_options_take_plain_spellings(capsys):
+    _, half, _ = run_cli(capsys, ["gen", "--n", "9", "--p", "0.5"])
+    for spelling in (".5", "5e-1", "0.5e+0", "-0.5"):
+        code, out, err = run_cli(capsys, ["gen", "--n", "9", "--p", spelling])
+        if spelling == "-0.5":
+            assert code == 2 and out == "" and "edge probability" in err
+        else:
+            assert code == 0 and out == half
+
+
 def test_id_lists_allow_blanks_around_items(capsys, workspace):
     _, gpath, _, _, _ = workspace
     code, out, _ = run_cli(capsys, ["isolate", gpath, "--groups", " 0, 1 ; 4;7 "])

@@ -2,6 +2,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ghcut.gomoryhu
 from ghcut import (
@@ -212,8 +213,11 @@ def test_verify_reports_first_pair_in_order():
 def test_build_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
         build_gusfield(Graph(1, []))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="disconnected"):
         build_gusfield(Graph(4, [(0, 1, 1), (2, 3, 1)]))
+    # the isolated vertex is the last one, so only the last flow sees it
+    with pytest.raises(ValueError, match="disconnected"):
+        build_gusfield(Graph(4, [(0, 1, 1), (1, 2, 1)]))
 
 
 def test_tree_validation():
@@ -223,6 +227,43 @@ def test_tree_validation():
         GomoryHuTree([-1, 0], [0, 0])
     with pytest.raises(ValueError):
         GomoryHuTree([-1, 2, 1], [0, 1, 1])
+
+
+@st.composite
+def parent_arrays(draw):
+    n = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        # a real tree with shuffled ids: ids[i] hangs off an earlier id
+        ids = [0] + draw(st.permutations(range(1, n)))
+        parent = [-1] * n
+        for i in range(1, n):
+            parent[ids[i]] = ids[draw(st.integers(0, i - 1))]
+        return parent
+    # any pointers in range, self-pointers and cycles included
+    return [-1] + [draw(st.integers(0, n - 1)) for _ in range(1, n)]
+
+
+def climb_length(parent, v):
+    """Edges from v up to vertex 0, or None when the pointers loop."""
+    steps = 0
+    while v != 0:
+        v = parent[v]
+        steps += 1
+        if steps > len(parent):
+            return None
+    return steps
+
+
+@given(parent_arrays())
+@settings(max_examples=300, deadline=None)
+def test_tree_accepts_exactly_pointers_that_climb_to_the_root(parent):
+    depths = [climb_length(parent, v) for v in range(len(parent))]
+    weight = [0] + [1] * (len(parent) - 1)
+    if None in depths:
+        with pytest.raises(ValueError, match="parent pointers do not form a tree"):
+            GomoryHuTree(parent, weight)
+    else:
+        assert GomoryHuTree(parent, weight).depth == tuple(depths)
 
 
 @pytest.mark.parametrize("root_weight", [-1, 1, 0.0, False, "a", None])
@@ -261,6 +302,19 @@ def test_parse_reorients_edges():
     tree = parse_gh_tree(text)
     assert tree.query(0, 2) == 4
     assert tree.query(1, 2) == 6
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parse_orients_shuffled_flipped_edges_from_the_root(seed):
+    tree = build_gusfield(generate("erdos-renyi-weighted", 16, seed=seed))
+    assert max(tree.depth) >= 2
+    rng = random.Random(f"shuffle|{seed}")
+    lines = format_gh_tree(tree).splitlines()
+    edges = [l.split() for l in lines if l.startswith("e ")]
+    rng.shuffle(edges)
+    edges = [f"e {v} {u}" if rng.random() < 0.5 else f"e {u} {v}" for _, u, v in edges]
+    rest = [l for l in lines[1:] if not l.startswith("e ")]
+    assert parse_gh_tree("\n".join([lines[0], *edges, *rest]) + "\n") == tree
 
 
 @pytest.mark.parametrize("text, line, message", [

@@ -279,6 +279,16 @@ def test_decompose_matches_definition(t):
     assert centroid(t) == expected.centroid
 
 
+@given(labelled_trees())
+@settings(max_examples=200, deadline=None)
+def test_adjacency_lists_are_sorted_neighbours(t):
+    expected = {v: [] for v in t.vertices}
+    for u, v in t.edges:
+        expected[u].append(v)
+        expected[v].append(u)
+    assert t.adjacency() == {v: sorted(nbrs) for v, nbrs in expected.items()}
+
+
 def test_respects_count_recount():
     rng = random.Random("respect")
     for _ in range(50):
