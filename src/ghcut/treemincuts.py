@@ -93,8 +93,9 @@ class RecursionStats:
     whose endpoints are both ordinary vertices rather than contracted
     supernodes); when stats are passed, every call records itself on entry,
     including k = 0.  The counts are of the recursion's logical calls: a
-    child answered from the per-call memo adds the rows its first visit
-    recorded, so the totals do not depend on the memo.
+    child answered from the per-call memo, and a replayed pruning round,
+    add the rows their first visit recorded, so the totals do not depend
+    on either.
     """
 
     __slots__ = ("rows",)
@@ -145,6 +146,15 @@ class RecursionStats:
 # sides as int bitmasks, and, when stats are kept, the child's own
 # `RecursionStats`, which every visit adds to the caller's.
 # Everything the cache holds is dropped when the top-level call returns.
+#
+# Pruning rounds at k == 2 run at budget 1 and, with few prunable parts,
+# mostly draw a tree an earlier round of the same loop drew.  Up to its
+# leaf step (`_leaf_tail`) a budget-1 round only offers into the caller's
+# table, and a repeat would offer the same cuts, all refused since values
+# only go down; the leaf step alone chooses by the table's values.  So
+# `_prune_rounds` keeps, for that loop only, each pruned tree's body
+# rows and leaf-step inputs, and a repeat adds those rows and runs the
+# leaf step live.
 
 
 @dataclass(frozen=True)
@@ -203,16 +213,45 @@ def _source_edge(tree: SteinerTree, c: int) -> tuple[tuple[int, int], ...]:
     return () if sc in tree.edges else (sc,)
 
 
-def _prune_rounds(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts,
+def _prune_rounds(rec, body, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts,
                   seed: str, cfg: _Cfg, contracted: frozenset[int],
                   parts: Sequence[frozenset[int]]) -> None:
     """Random pruning lowers the budget: any cut whose extra tree crossings
-    sit inside pruned parts is caught by a k-1 call on the thinned tree."""
+    sit inside pruned parts is caught by a k-1 call on the thinned tree.
+
+    At k == 2 a round is `rec` at budget 1 split into `body` and the leaf
+    step `_leaf_tail`, and a round that repeats an earlier round's pruned
+    tree replays its first visit (see the cache notes above).
+    """
     rounds = max(1, math.ceil(cfg.reps_coeff * math.log2(max(2, g.n)))) if parts else 1
+    visits: dict[SteinerTree, tuple] = {}
     for r in range(rounds):
         coin = random.Random(f"{seed}/p{r}#coins")
         pruned = prune_sample(tree, parts, coin)
-        rec(g, pruned, k - 1, cuts, f"{seed}/p{r}", cfg, contracted)
+        if k > 2:
+            rec(g, pruned, k - 1, cuts, f"{seed}/p{r}", cfg, contracted)
+            continue
+        visit = visits.get(pruned)
+        if visit is None:
+            # the body's rows are counted apart, so that a repeat can add them
+            own = None if cfg.stats is None else RecursionStats()
+            body_cfg = cfg if own is None else replace(cfg, stats=own)
+            step = body(g, pruned, 1, cuts, f"{seed}/p{r}", body_cfg, contracted)
+            visit = visits[pruned] = (own, step)
+        # a budget-1 call draws no random numbers, so the first visit's
+        # seed in `step` serves the repeat too
+        own, step = visit
+        if own is not None:
+            _add_rows(cfg.stats, own)
+        if step is not None:
+            _leaf_tail(step, cuts, cfg)
+
+
+def _add_rows(stats: RecursionStats, own: RecursionStats) -> None:
+    for row_key, row in own.rows.items():
+        total = stats.rows.setdefault(row_key, [0, 0, 0, 0])
+        for i, x in enumerate(row):
+            total[i] += x
 
 
 def _isolate(cfg: _Cfg, g: Graph, s: int, groups: Sequence[frozenset[int]],
@@ -268,10 +307,7 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: 
             answer = cfg.cache[key] = (_entries(view), own)
     entries, own = answer
     if own is not None:
-        for row_key, row in own.rows.items():
-            total = stats.rows.setdefault(row_key, [0, 0, 0, 0])
-            for i, x in enumerate(row):
-                total[i] += x
+        _add_rows(stats, own)
     best = cuts.values
     for q, val, mask in entries:
         v = back[q]
@@ -365,8 +401,32 @@ def _tree_rec(
     cfg: _Cfg,
     contracted: frozenset[int],
 ) -> None:
-    if not _enter("tree", g, tree, k, cuts, cfg, contracted):
+    t4 = _tree_body(g, tree, k, cuts, seed, cfg, contracted)
+    if t4 is None:
         return
+    # Reduced tree: drop the forest and the trunk interior, reattach the
+    # source directly at the centroid.  The leaf variant hunts cuts through
+    # the new source edge at full budget; everything else has lost at least
+    # one crossing, so a k-1 pass completes the coverage.
+    _leaf_rec(g, t4, k, cuts, f"{seed}/l", cfg, contracted)
+    if k > 1:
+        _tree_rec(g, t4, k - 1, cuts, f"{seed}/r", cfg, contracted)
+
+
+def _tree_round(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
+                cfg: _Cfg, contracted: frozenset[int]) -> tuple | None:
+    """`_tree_rec` at budget 1 up to the leaf step of its `/l` call: that
+    step, as `_leaf_body` returns it, or None when there is none."""
+    t4 = _tree_body(g, tree, k, cuts, seed, cfg, contracted)
+    return None if t4 is None else _leaf_body(g, t4, k, cuts, f"{seed}/l", cfg, contracted)
+
+
+def _tree_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
+               cfg: _Cfg, contracted: frozenset[int]) -> SteinerTree | None:
+    """`_tree_rec` up to the reduced tree, which it returns, or None when
+    the instance is settled with no reduced tree to search."""
+    if not _enter("tree", g, tree, k, cuts, cfg, contracted):
+        return None
 
     s = tree.source
     dec = decompose(tree)
@@ -377,7 +437,7 @@ def _tree_rec(
     # At budget 1 the pruned calls would be no-ops, so skip them outright.
     if k > 1:
         parts = ([dec.forest] if dec.forest else []) + list(sides)
-        _prune_rounds(_tree_rec, g, tree, k, cuts, seed, cfg, contracted, parts)
+        _prune_rounds(_tree_rec, _tree_round, g, tree, k, cuts, seed, cfg, contracted, parts)
 
         # The source-side forest on its own, one budget lower.
         if dec.forest:
@@ -412,7 +472,7 @@ def _tree_rec(
         _child(_tree_rec, g, tree, k, cuts, f"{seed}/i{j}", cfg, contracted,
                everything - gc.side, side | {c})
     if c == s:
-        return
+        return None
 
     # One child for the source's whole component of the tree minus the
     # centroid: the centroid and every side region fold into a single node
@@ -424,14 +484,7 @@ def _tree_rec(
         merge = frozenset((c,)).union(*(gc.side for gc in side_cuts))
         _child(_tree_rec, g, tree, k, cuts, f"{seed}/y", cfg, contracted, merge, keep)
 
-    # Reduced tree: drop the forest and the trunk interior, reattach the
-    # source directly at the centroid.  The leaf variant hunts cuts through
-    # the new source edge at full budget; everything else has lost at least
-    # one crossing, so a k-1 pass completes the coverage.
-    t4 = _subtree(tree, {s, c}.union(*sides), _source_edge(tree, c))
-    _leaf_rec(g, t4, k, cuts, f"{seed}/l", cfg, contracted)
-    if k > 1:
-        _tree_rec(g, t4, k - 1, cuts, f"{seed}/r", cfg, contracted)
+    return _subtree(tree, {s, c}.union(*sides), _source_edge(tree, c))
 
 
 def _leaf_rec(
@@ -443,8 +496,17 @@ def _leaf_rec(
     cfg: _Cfg,
     contracted: frozenset[int],
 ) -> None:
+    step = _leaf_body(g, tree, k, cuts, seed, cfg, contracted)
+    if step is not None:
+        _leaf_tail(step, cuts, cfg)
+
+
+def _leaf_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
+               cfg: _Cfg, contracted: frozenset[int]) -> tuple | None:
+    """`_leaf_rec` up to its single side-tree branch: returns what
+    `_leaf_tail` needs for that branch, or None when there is none."""
     if not _enter("leaf", g, tree, k, cuts, cfg, contracted):
-        return
+        return None
 
     s = tree.source
     # a leaf source has no forest of its own: its component of the tree
@@ -456,7 +518,7 @@ def _leaf_rec(
     sides = dec.side_trees
 
     if k > 1:
-        _prune_rounds(_leaf_rec, g, tree, k, cuts, seed, cfg, contracted, sides)
+        _prune_rounds(_leaf_rec, _leaf_body, g, tree, k, cuts, seed, cfg, contracted, sides)
 
         # Drop the source's own branch and reattach the source at the
         # centroid; cuts through the old source edge that stay out of the
@@ -487,21 +549,29 @@ def _leaf_rec(
     for t in far:
         cuts.offer(t, res.value, res.mincut)
 
-    # Single side-tree branch: recurse only where the current estimate is
-    # weakest, merging the centroid and every other side region into one
-    # node.  Descending into all side trees would blow up the recursion;
-    # the shared cut above pays for the branches we skip.
-    if sides:
-        pool = sorted(set().union(*sides))
-        z = max(pool, key=lambda t: (cuts.value(t), -t))
-        i_star = next(i for i, side in enumerate(sides) if z in side)
-        merge = {c}.union(*(gc.side for i, gc in enumerate(side_cuts) if i != i_star))
-        if own_branch:
-            merge |= iso[-1].side
-        part = sides[i_star]
-        if len(merge) > 1 or len(part) + 2 < tree.size:
-            _child(_leaf_rec, g, tree, k, cuts, f"{seed}/z", cfg, contracted,
-                   merge, part | {s, c}, _source_edge(tree, c))
+    if not sides:
+        return None
+    branch = iso[-1].side if own_branch else frozenset()
+    return (g, tree, k, seed, contracted, c, sides, side_cuts, branch, set().union(*sides))
+
+
+def _leaf_tail(step, cuts: CandidateCuts, cfg: _Cfg) -> None:
+    """The single side-tree branch of `_leaf_rec`, the one step of either
+    recursion that chooses by the values in `cuts`: recurse only where the
+    current estimate is weakest, merging the centroid, every other side
+    region and the source's branch into one node.  Descending into all
+    side trees would blow up the recursion; the shared cut above pays for
+    the branches we skip."""
+    g, tree, k, seed, contracted, c, sides, side_cuts, branch, pool = step
+    # (value, -t) orders the terminals strictly, so the first maximum is
+    # the only one
+    z = max(pool, key=lambda t: (cuts.value(t), -t))
+    i_star = next(i for i, side in enumerate(sides) if z in side)
+    merge = {c}.union(*(gc.side for i, gc in enumerate(side_cuts) if i != i_star), branch)
+    part = sides[i_star]
+    if len(merge) > 1 or len(part) + 2 < tree.size:
+        _child(_leaf_rec, g, tree, k, cuts, f"{seed}/z", cfg, contracted,
+               merge, part | {tree.source, c}, _source_edge(tree, c))
 
 
 def sstcv_verify(

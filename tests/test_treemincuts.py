@@ -624,6 +624,73 @@ def test_budget_one_children_run_once_per_call(monkeypatch):
             assert len(set(entered)) == len(entered)
 
 
+# recorded before repeated rounds were replayed
+REPLAYED_STATS = {
+    False: {
+        "leaf": {
+            "1": {"calls": 289, "vertices": 3159, "tree_vertices": 1600, "edges": 4246},
+            "2": {"calls": 13, "vertices": 127, "tree_vertices": 76, "edges": 145},
+        },
+        "tree": {
+            "1": {"calls": 124, "vertices": 1200, "tree_vertices": 956, "edges": 1468},
+            "2": {"calls": 7, "vertices": 64, "tree_vertices": 64, "edges": 77},
+        },
+    },
+    True: {
+        "leaf": {
+            "1": {"calls": 271, "vertices": 2058, "tree_vertices": 1718, "edges": 1946},
+            "2": {"calls": 13, "vertices": 95, "tree_vertices": 95, "edges": 90},
+        },
+        "tree": {
+            "1": {"calls": 14, "vertices": 119, "tree_vertices": 78, "edges": 127},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("leaf", [False, True])
+def test_repeated_pruning_rounds_are_replayed(monkeypatch, leaf):
+    # On a path from the source the centroid has one side tree, so the
+    # k=2 pruning loop draws one of two trees in each of its 13 rounds.
+    # Budget-1 rounds draw no random numbers, so a round that repeats an
+    # earlier round's tree in the same loop must not split it again: each
+    # loop decomposes and isolates on behalf of each procedure at most
+    # once per distinct tree, that is at most 2 ** parts times, while
+    # the stats still count every round.
+    n = 20
+    g = generate("erdos-renyi-weighted", n, seed=20)
+    path = random.Random("replay|20").sample(range(n), n)
+    tr = SteinerTree(path, list(zip(path, path[1:])), path[0])
+    real = {name: getattr(treemincuts, name) for name in ("decompose", "_isolate")}
+    loops = {}  # loop frame -> (is the top-level loop, rounds, prunable parts)
+    calls = {}  # (loop frame, wrapped name, calling function) -> calls
+
+    def counted(name):
+        def wrapper(*args):
+            # the loop this call works for, unless it is a child's own work
+            frame = sys._getframe(1)
+            caller = frame.f_code.co_name
+            while frame and frame.f_code.co_name not in ("_child", "_prune_rounds"):
+                frame = frame.f_back
+            if frame and frame.f_code.co_name == "_prune_rounds" and frame.f_locals["k"] == 2:
+                loop = frame.f_locals
+                loops[frame] = (loop["tree"] is tr, loop["rounds"], len(loop["parts"]))
+                key = (frame, name, caller)
+                calls[key] = calls.get(key, 0) + 1
+            return real[name](*args)
+        return wrapper
+
+    for name in real:
+        monkeypatch.setattr(treemincuts, name, counted(name))
+    stats = RecursionStats()
+    fn = leaf_mincuts if leaf else tree_mincuts
+    fn(g, tr, 2, CandidateCuts([]), "replay", stats)
+    assert (True, 13, 1) in loops.values()
+    for (frame, _, _), count in calls.items():
+        assert count <= 2 ** loops[frame][2]
+    assert stats.as_dict() == REPLAYED_STATS[leaf]
+
+
 @pytest.mark.parametrize("leaf", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_untracked_runs_find_the_tracked_values(k, leaf):

@@ -6,7 +6,8 @@ recursion must reproduce these values, witnesses and per-level
 the size of the guided-search benchmark, is pinned by a sha256 digest of its
 canonical JSON.  Together the small cases reach every recursive call site of
 both procedures (pruning rounds, the forest, per-part and folded children,
-the reduced tree and the leaf variant's single side-tree branch).
+the reduced tree and the leaf variant's single side-tree branch); one more
+pins the branch in pruning rounds that repeat an earlier round's tree.
 """
 import hashlib
 import json
@@ -196,6 +197,39 @@ SSTCV = {
     },
 }
 
+# A leaf run in which five pruning rounds repeat an earlier round's tree of
+# the same loop while the table has moved on, so that the leaf step picks
+# another side tree than at the first visit: replaying a repeat must still
+# decide that step from the table as it stands.  Recorded before repeated
+# rounds were replayed.
+REPLAY = (
+    ((11, 11, 1), "z1"),
+    {
+        "values": {0: 18, 1: 1, 2: 22, 3: 8, 4: 10, 5: 11, 6: 22, 7: 11, 8: 14, 9: 20},
+        "witnesses": {
+            0: [[0], 18],
+            1: [[1], 1],
+            2: [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], 22],
+            3: [[3], 8],
+            4: [[3, 4, 5], 10],
+            5: [[3, 5], 11],
+            6: [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], 22],
+            7: [[7], 11],
+            8: [[1, 7, 8], 14],
+            9: [[1, 3, 4, 5, 7, 8, 9], 20],
+        },
+        "stats": {
+            "leaf": {
+                "1": {"calls": 29, "vertices": 225, "tree_vertices": 169, "edges": 286},
+                "2": {"calls": 3, "vertices": 20, "tree_vertices": 20, "edges": 22},
+            },
+            "tree": {
+                "1": {"calls": 5, "vertices": 25, "tree_vertices": 19, "edges": 23},
+            },
+        },
+    },
+)
+
 BIG_DIGEST = "96fa68bfa937f39d246d70a6f2bd367e3499009beb41ec44e9f7d1a48f53a090"
 
 
@@ -216,3 +250,9 @@ def test_large_run_matches_golden():
     tr = random_spanning_tree(g, 0, random.Random("golden|72"))
     out = run(tree_mincuts, g, tr, 2, "big")
     assert digest(out) == BIG_DIGEST
+
+
+def test_replayed_rounds_redecide_the_leaf_step():
+    (args, seed), expected = REPLAY
+    g, tr = instance(*args, leaf=True)
+    assert run(leaf_mincuts, g, tr, 2, seed) == expected
