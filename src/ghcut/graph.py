@@ -105,7 +105,10 @@ class Graph:
         return tuple(tuple(l) for l in lists)
 
     def weighted_degree(self, v: int) -> int:
-        return sum(w for _, w in self.adjacency()[v])
+        # a bool or a negative id would otherwise index another vertex
+        if type(v) is not int or not 0 <= v < self.n:
+            raise ValueError(f"vertex {v!r} out of range for n={self.n}")
+        return sum(w for a, b, w in self.edges if a == v or b == v)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -61,6 +61,9 @@ class SteinerTree:
         return _adjacency(self.vertices, self.edges)
 
     def degree(self, v: int) -> int:
+        # True and 1.0 would otherwise count vertex 1's edges
+        if type(v) is not int or v not in self.vertices:
+            raise ValueError(f"{v!r} is not a tree vertex")
         return sum(1 for u, w in self.edges if v in (u, w))
 
     def __eq__(self, other: object) -> bool:

@@ -55,6 +55,8 @@ class CandidateCuts:
 
     def offer(self, t: int, value: int, witness: Cut | None = None) -> bool:
         """Record a candidate; ignored unless strictly better and t is known."""
+        if type(t) is not int:
+            raise ValueError(f"terminal {t!r} is not an integer")
         cur = self.values.get(t)
         if cur is None or value >= cur:
             return False
@@ -64,10 +66,15 @@ class CandidateCuts:
         return True
 
     def value(self, t: int) -> float:
-        return self.values[t]
+        return self.values[self._known(t)]
 
     def witness(self, t: int) -> Cut | None:
-        return self.witnesses[t]
+        return self.witnesses[self._known(t)]
+
+    def _known(self, t: int) -> int:
+        if type(t) is not int or t not in self.values:
+            raise ValueError(f"{t!r} is not a terminal of this table")
+        return t
 
     def terminals(self) -> list[int]:
         return sorted(self.values)
@@ -93,9 +100,9 @@ class RecursionStats:
     whose endpoints are both ordinary vertices rather than contracted
     supernodes); when stats are passed, every call records itself on entry,
     including k = 0.  The counts are of the recursion's logical calls: a
-    child answered from the per-call memo, and a replayed pruning round,
-    add the rows their first visit recorded, so the totals do not depend
-    on either.
+    child answered from the per-call memo, a replayed pruning round and
+    the `/z` child that a replayed leaf step skips all add the rows their
+    first visit recorded, so the totals do not depend on any of them.
     """
 
     __slots__ = ("rows",)
@@ -152,9 +159,11 @@ class RecursionStats:
 # leaf step (`_leaf_tail`) a budget-1 round only offers into the caller's
 # table, and a repeat would offer the same cuts, all refused since values
 # only go down; the leaf step alone chooses by the table's values.  So
-# `_prune_rounds` keeps, for that loop only, each pruned tree's body
-# rows and leaf-step inputs, and a repeat adds those rows and runs the
-# leaf step live.
+# `_prune_rounds` keeps, for that loop only, each pruned tree's body rows
+# and the step its body returned, and a repeat adds those rows and runs
+# the leaf step live.  The step keeps, per side tree, the rows of the `/z`
+# child it ran: a repeat that picks the same side again would merge the
+# same budget-1 answer, all refused, so it adds those rows instead.
 
 
 @dataclass(frozen=True)
@@ -213,15 +222,16 @@ def _source_edge(tree: SteinerTree, c: int) -> tuple[tuple[int, int], ...]:
     return () if sc in tree.edges else (sc,)
 
 
-def _prune_rounds(rec, body, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts,
+def _prune_rounds(body, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts,
                   seed: str, cfg: _Cfg, contracted: frozenset[int],
                   parts: Sequence[frozenset[int]]) -> None:
     """Random pruning lowers the budget: any cut whose extra tree crossings
     sit inside pruned parts is caught by a k-1 call on the thinned tree.
 
-    At k == 2 a round is `rec` at budget 1 split into `body` and the leaf
-    step `_leaf_tail`, and a round that repeats an earlier round's pruned
-    tree replays its first visit (see the cache notes above).
+    A round is that call as its recursion makes it: `body`, then the leaf
+    step `_leaf_tail`.  At k == 2 a round that repeats an earlier round's
+    pruned tree replays its first visit: it adds the body's rows and runs
+    only the leaf step (see the cache notes above).
     """
     rounds = max(1, math.ceil(cfg.reps_coeff * math.log2(max(2, g.n)))) if parts else 1
     visits: dict[SteinerTree, tuple] = {}
@@ -229,7 +239,7 @@ def _prune_rounds(rec, body, g: Graph, tree: SteinerTree, k: int, cuts: Candidat
         coin = random.Random(f"{seed}/p{r}#coins")
         pruned = prune_sample(tree, parts, coin)
         if k > 2:
-            rec(g, pruned, k - 1, cuts, f"{seed}/p{r}", cfg, contracted)
+            _leaf_tail(body(g, pruned, k - 1, cuts, f"{seed}/p{r}", cfg, contracted), cuts, cfg)
             continue
         visit = visits.get(pruned)
         if visit is None:
@@ -243,8 +253,7 @@ def _prune_rounds(rec, body, g: Graph, tree: SteinerTree, k: int, cuts: Candidat
         own, step = visit
         if own is not None:
             _add_rows(cfg.stats, own)
-        if step is not None:
-            _leaf_tail(step, cuts, cfg)
+        _leaf_tail(step, cuts, cfg)
 
 
 def _add_rows(stats: RecursionStats, own: RecursionStats) -> None:
@@ -268,7 +277,7 @@ def _isolate(cfg: _Cfg, g: Graph, s: int, groups: Sequence[frozenset[int]],
 
 def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
            cfg: _Cfg, contracted: frozenset[int], merge: Iterable[int],
-           keep: set[int], extra: Sequence[tuple[int, int]] = ()) -> None:
+           keep: set[int], extra: Sequence[tuple[int, int]] = ()) -> RecursionStats | None:
     """Recurse at budget k on `g` with `merge` contracted to one node.
 
     The child tree is the subtree induced on `keep`, plus the `extra`
@@ -278,7 +287,8 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: 
     result is lifted back onto that vertex; only results that improve the
     parent's value are lifted, as the others would be refused anyway.  A
     budget-1 child that repeats within the call is answered from the memo
-    (see the cache notes above).
+    (see the cache notes above).  Returns a budget-1 child's own rows when
+    stats are kept, else None.
     """
     # memoised like every flow and isolating call; the merged set is keyed
     # as a bitmask of its vertices
@@ -315,6 +325,7 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: 
             lifted = None if mask is None else Cut(
                 cm.lift_side(i for i in range(child_g.n) if mask >> i & 1), val)
             cuts.offer(v, val, lifted)
+    return own
 
 
 def _entries(view: CandidateCuts) -> tuple[tuple[int, int, int | None], ...]:
@@ -392,39 +403,21 @@ def leaf_mincuts(
     _leaf_rec(g, tree, k, cuts, _seed_string(rng), _Cfg(reps_coeff, stats), frozenset())
 
 
-def _tree_rec(
-    g: Graph,
-    tree: SteinerTree,
-    k: int,
-    cuts: CandidateCuts,
-    seed: str,
-    cfg: _Cfg,
-    contracted: frozenset[int],
-) -> None:
-    t4 = _tree_body(g, tree, k, cuts, seed, cfg, contracted)
-    if t4 is None:
-        return
-    # Reduced tree: drop the forest and the trunk interior, reattach the
-    # source directly at the centroid.  The leaf variant hunts cuts through
-    # the new source edge at full budget; everything else has lost at least
-    # one crossing, so a k-1 pass completes the coverage.
-    _leaf_rec(g, t4, k, cuts, f"{seed}/l", cfg, contracted)
-    if k > 1:
-        _tree_rec(g, t4, k - 1, cuts, f"{seed}/r", cfg, contracted)
+def _tree_rec(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
+              cfg: _Cfg, contracted: frozenset[int]) -> None:
+    _leaf_tail(_tree_body(g, tree, k, cuts, seed, cfg, contracted), cuts, cfg)
 
 
-def _tree_round(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
-                cfg: _Cfg, contracted: frozenset[int]) -> tuple | None:
-    """`_tree_rec` at budget 1 up to the leaf step of its `/l` call: that
-    step, as `_leaf_body` returns it, or None when there is none."""
-    t4 = _tree_body(g, tree, k, cuts, seed, cfg, contracted)
-    return None if t4 is None else _leaf_body(g, t4, k, cuts, f"{seed}/l", cfg, contracted)
+def _leaf_rec(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
+              cfg: _Cfg, contracted: frozenset[int]) -> None:
+    _leaf_tail(_leaf_body(g, tree, k, cuts, seed, cfg, contracted), cuts, cfg)
 
 
 def _tree_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
-               cfg: _Cfg, contracted: frozenset[int]) -> SteinerTree | None:
-    """`_tree_rec` up to the reduced tree, which it returns, or None when
-    the instance is settled with no reduced tree to search."""
+               cfg: _Cfg, contracted: frozenset[int]) -> tuple | None:
+    """`_tree_rec` up to the leaf step of its `/l` call at k == 1: that
+    step, as `_leaf_body` returns it, or None when there is none.  At
+    k > 1 the `/l` and `/r` calls are made here, and None is returned."""
     if not _enter("tree", g, tree, k, cuts, cfg, contracted):
         return None
 
@@ -437,7 +430,7 @@ def _tree_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: s
     # At budget 1 the pruned calls would be no-ops, so skip them outright.
     if k > 1:
         parts = ([dec.forest] if dec.forest else []) + list(sides)
-        _prune_rounds(_tree_rec, _tree_round, g, tree, k, cuts, seed, cfg, contracted, parts)
+        _prune_rounds(_tree_body, g, tree, k, cuts, seed, cfg, contracted, parts)
 
         # The source-side forest on its own, one budget lower.
         if dec.forest:
@@ -484,21 +477,16 @@ def _tree_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: s
         merge = frozenset((c,)).union(*(gc.side for gc in side_cuts))
         _child(_tree_rec, g, tree, k, cuts, f"{seed}/y", cfg, contracted, merge, keep)
 
-    return _subtree(tree, {s, c}.union(*sides), _source_edge(tree, c))
-
-
-def _leaf_rec(
-    g: Graph,
-    tree: SteinerTree,
-    k: int,
-    cuts: CandidateCuts,
-    seed: str,
-    cfg: _Cfg,
-    contracted: frozenset[int],
-) -> None:
-    step = _leaf_body(g, tree, k, cuts, seed, cfg, contracted)
-    if step is not None:
-        _leaf_tail(step, cuts, cfg)
+    # Reduced tree: drop the forest and the trunk interior, reattach the
+    # source directly at the centroid.  The leaf variant hunts cuts through
+    # the new source edge at full budget; everything else has lost at least
+    # one crossing, so a k-1 pass completes the coverage.
+    t4 = _subtree(tree, {s, c}.union(*sides), _source_edge(tree, c))
+    if k == 1:
+        return _leaf_body(g, t4, k, cuts, f"{seed}/l", cfg, contracted)
+    _leaf_rec(g, t4, k, cuts, f"{seed}/l", cfg, contracted)
+    _tree_rec(g, t4, k - 1, cuts, f"{seed}/r", cfg, contracted)
+    return None
 
 
 def _leaf_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
@@ -518,7 +506,7 @@ def _leaf_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: s
     sides = dec.side_trees
 
     if k > 1:
-        _prune_rounds(_leaf_rec, _leaf_body, g, tree, k, cuts, seed, cfg, contracted, sides)
+        _prune_rounds(_leaf_body, g, tree, k, cuts, seed, cfg, contracted, sides)
 
         # Drop the source's own branch and reattach the source at the
         # centroid; cuts through the old source edge that stay out of the
@@ -552,7 +540,8 @@ def _leaf_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: s
     if not sides:
         return None
     branch = iso[-1].side if own_branch else frozenset()
-    return (g, tree, k, seed, contracted, c, sides, side_cuts, branch, set().union(*sides))
+    # the last item keeps, per side tree, the rows of the `/z` child run
+    return (g, tree, k, seed, contracted, c, sides, side_cuts, branch, set().union(*sides), {})
 
 
 def _leaf_tail(step, cuts: CandidateCuts, cfg: _Cfg) -> None:
@@ -561,17 +550,28 @@ def _leaf_tail(step, cuts: CandidateCuts, cfg: _Cfg) -> None:
     current estimate is weakest, merging the centroid, every other side
     region and the source's branch into one node.  Descending into all
     side trees would blow up the recursion; the shared cut above pays for
-    the branches we skip."""
-    g, tree, k, seed, contracted, c, sides, side_cuts, branch, pool = step
+    the branches we skip.  Nothing to do when `step` is None.
+
+    A replayed step that picks a side tree it has already recursed into
+    adds that `/z` child's rows and skips it: the child is the same
+    budget-1 instance, so every lift from it would be refused."""
+    if step is None:
+        return
+    g, tree, k, seed, contracted, c, sides, side_cuts, branch, pool, done = step
+    values = cuts.values
     # (value, -t) orders the terminals strictly, so the first maximum is
     # the only one
-    z = max(pool, key=lambda t: (cuts.value(t), -t))
+    z = max(pool, key=lambda t: (values[t], -t))
     i_star = next(i for i, side in enumerate(sides) if z in side)
+    if i_star in done:
+        if (own := done[i_star]) is not None:
+            _add_rows(cfg.stats, own)
+        return
     merge = {c}.union(*(gc.side for i, gc in enumerate(side_cuts) if i != i_star), branch)
     part = sides[i_star]
-    if len(merge) > 1 or len(part) + 2 < tree.size:
-        _child(_leaf_rec, g, tree, k, cuts, f"{seed}/z", cfg, contracted,
-               merge, part | {tree.source, c}, _source_edge(tree, c))
+    recurse = len(merge) > 1 or len(part) + 2 < tree.size
+    done[i_star] = _child(_leaf_rec, g, tree, k, cuts, f"{seed}/z", cfg, contracted, merge,
+                          part | {tree.source, c}, _source_edge(tree, c)) if recurse else None
 
 
 def sstcv_verify(

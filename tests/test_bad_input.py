@@ -73,9 +73,11 @@ CASES = [
     ("generate", "planted_value", lambda x: generate("planted-cut", 4, planted_value=x), outside(1)),
     ("Graph", "n", lambda x: Graph(x, []), outside(1)),
     ("Graph", "edges", lambda x: Graph(N, [(0, x, 1)]), VERTEX),
+    ("Graph", "weighted_degree", lambda x: CYCLE.weighted_degree(x), VERTEX),
     ("SteinerTree", "vertices", lambda x: SteinerTree([0, x], [(0, 1)], 0), ANY_INT),
     ("SteinerTree", "edges", lambda x: SteinerTree([0, 1], [(0, x)], 0), outside(0, 2)),
     ("SteinerTree", "source", lambda x: SteinerTree([0, 1], [(0, 1)], x), outside(0, 2)),
+    ("SteinerTree", "degree", lambda x: PATH.degree(x), VERTEX),
     ("random_steiner_tree", "vertices", lambda x: random_steiner_tree([0, x], 0, random.Random(0)), ANY_INT),
     ("random_steiner_tree", "source", lambda x: random_steiner_tree([0, 1], x, random.Random(0)), outside(0, 2)),
     ("random_spanning_tree", "source", lambda x: random_spanning_tree(CYCLE, x, random.Random(0)), VERTEX),
@@ -95,6 +97,10 @@ CASES = [
     # no graph, so no vertex range
     ("CandidateCuts", "terminals", lambda x: CandidateCuts([0, x]), ANY_INT),
     ("CandidateCuts", "ensure", lambda x: CandidateCuts([0]).ensure([x]), ANY_INT),
+    # an int that is not a terminal is ignored by an offer, but not looked up
+    ("CandidateCuts", "offer", lambda x: CandidateCuts([0]).offer(x, 1), ANY_INT),
+    ("CandidateCuts", "value", lambda x: CandidateCuts([0]).value(x), outside(0, 1)),
+    ("CandidateCuts", "witness", lambda x: CandidateCuts([0]).witness(x), outside(0, 1)),
     ("brute_min_cut", "s", lambda x: brute_min_cut(CYCLE, x, 3), VERTEX),
     ("brute_min_cut", "t", lambda x: brute_min_cut(CYCLE, 0, x), VERTEX),
     ("brute_respecting_min_cut", "s", lambda x: brute_respecting_min_cut(CYCLE, PATH, x, 3, 1), VERTEX),

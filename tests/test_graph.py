@@ -87,6 +87,16 @@ def test_adjacency_and_degree():
     assert g.weighted_degree(0) == 2
 
 
+@pytest.mark.parametrize("bad", [-1, 3, True, False, 1.0, "1", None])
+def test_weighted_degree_rejects_non_vertices(bad):
+    # -1 used to answer vertex 2's degree, True vertex 1's, and 3 raised
+    # IndexError
+    g = Graph(3, [(0, 1, 2), (1, 2, 5)])
+    assert [g.weighted_degree(v) for v in range(3)] == [2, 7, 5]
+    with pytest.raises(ValueError, match="out of range"):
+        g.weighted_degree(bad)
+
+
 def test_graph_equality_and_hash():
     a = Graph(3, [(0, 1, 2), (1, 2, 3)])
     b = Graph(3, [(1, 2, 3), (1, 0, 2)])

@@ -47,6 +47,16 @@ def test_constructor_normalizes():
     assert t.adjacency()[9] == [3]
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None, 7, -1])
+def test_degree_rejects_non_members(bad):
+    # degree(True) and degree(1.0) used to count vertex 1's edges, and a
+    # non-member's degree read 0
+    t = SteinerTree((0, 1, 2), ((0, 1), (1, 2)), 0)
+    assert [t.degree(v) for v in (0, 1, 2)] == [1, 2, 1]
+    with pytest.raises(ValueError, match="not a tree vertex"):
+        t.degree(bad)
+
+
 def test_constructor_rejects_bad_trees():
     with pytest.raises(ValueError):
         SteinerTree((0, 1), ((0, 0),), 0)

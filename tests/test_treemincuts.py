@@ -94,6 +94,25 @@ class TestCandidateCuts:
             cuts.ensure([3, bad])
         assert cuts.terminals() == [2]
 
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", None])
+    def test_offer_rejects_non_integer_terminals(self, bad):
+        # offer(True, 3) used to lower terminal 1's value
+        cuts = CandidateCuts([1])
+        with pytest.raises(ValueError, match="not an integer"):
+            cuts.offer(bad, 3)
+        assert cuts.value(1) == math.inf
+
+    @pytest.mark.parametrize("bad", [9, -1, True, 1.0, "1", None])
+    def test_lookups_reject_non_terminals(self, bad):
+        # value(9) and witness(9) used to raise a bare KeyError, and
+        # value(True) answered terminal 1
+        cuts = CandidateCuts([1, 2])
+        cuts.offer(1, 4, Cut(frozenset({1}), 4))
+        with pytest.raises(ValueError, match="not a terminal"):
+            cuts.value(bad)
+        with pytest.raises(ValueError, match="not a terminal"):
+            cuts.witness(bad)
+
 
 class TestRecursionStats:
     def test_record_and_totals(self):
@@ -688,6 +707,39 @@ def test_repeated_pruning_rounds_are_replayed(monkeypatch, leaf):
     assert (True, 13, 1) in loops.values()
     for (frame, _, _), count in calls.items():
         assert count <= 2 ** loops[frame][2]
+    assert stats.as_dict() == REPLAYED_STATS[leaf]
+
+
+@pytest.mark.parametrize("leaf", [False, True])
+def test_replayed_leaf_steps_skip_repeated_children(monkeypatch, leaf):
+    # A replayed leaf step that picks a side tree it has already recursed
+    # into would merge the same budget-1 child again, every lift refused:
+    # per k=2 loop, each (pruned tree, kept set) gets at most one `/z`
+    # child, while the stats still count every round.
+    n = 20
+    g = generate("erdos-renyi-weighted", n, seed=20)
+    path = random.Random("replay|20").sample(range(n), n)
+    tr = SteinerTree(path, list(zip(path, path[1:])), path[0])
+    real_child = treemincuts._child
+    calls = {}  # (loop frame, pruned tree, kept set) -> `/z` children
+
+    def counted_child(rec, h, tree, k, cuts, seed, cfg, contracted, merge, keep, *extra):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_leaf_tail":
+            # the loop this step works for, unless it is a child's own step
+            while frame and frame.f_code.co_name not in ("_child", "_prune_rounds"):
+                frame = frame.f_back
+            if frame and frame.f_code.co_name == "_prune_rounds" and frame.f_locals["k"] == 2:
+                key = (frame, frame.f_locals["pruned"], frozenset(keep))
+                calls[key] = calls.get(key, 0) + 1
+        return real_child(rec, h, tree, k, cuts, seed, cfg, contracted, merge, keep, *extra)
+
+    monkeypatch.setattr(treemincuts, "_child", counted_child)
+    stats = RecursionStats()
+    fn = leaf_mincuts if leaf else tree_mincuts
+    fn(g, tr, 2, CandidateCuts([]), "replay", stats)
+    assert calls
+    assert max(calls.values()) == 1
     assert stats.as_dict() == REPLAYED_STATS[leaf]
 
 
