@@ -100,9 +100,9 @@ class RecursionStats:
     whose endpoints are both ordinary vertices rather than contracted
     supernodes); when stats are passed, every call records itself on entry,
     including k = 0.  The counts are of the recursion's logical calls: a
-    child answered from the per-call memo, a replayed pruning round and
-    the `/z` child that a replayed leaf step skips all add the rows their
-    first visit recorded, so the totals do not depend on any of them.
+    child answered from the per-call memo, and a replayed pruning round,
+    add the rows their first visit recorded, so the totals do not depend
+    on either.
     """
 
     __slots__ = ("rows",)
@@ -161,9 +161,7 @@ class RecursionStats:
 # only go down; the leaf step alone chooses by the table's values.  So
 # `_prune_rounds` keeps, for that loop only, each pruned tree's body rows
 # and the step its body returned, and a repeat adds those rows and runs
-# the leaf step live.  The step keeps, per side tree, the rows of the `/z`
-# child it ran: a repeat that picks the same side again would merge the
-# same budget-1 answer, all refused, so it adds those rows instead.
+# the leaf step live; a `/z` child it repeats is answered from the memo.
 
 
 @dataclass(frozen=True)
@@ -277,7 +275,7 @@ def _isolate(cfg: _Cfg, g: Graph, s: int, groups: Sequence[frozenset[int]],
 
 def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
            cfg: _Cfg, contracted: frozenset[int], merge: Iterable[int],
-           keep: set[int], extra: Sequence[tuple[int, int]] = ()) -> RecursionStats | None:
+           keep: set[int], extra: Sequence[tuple[int, int]] = ()) -> None:
     """Recurse at budget k on `g` with `merge` contracted to one node.
 
     The child tree is the subtree induced on `keep`, plus the `extra`
@@ -287,8 +285,7 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: 
     result is lifted back onto that vertex; only results that improve the
     parent's value are lifted, as the others would be refused anyway.  A
     budget-1 child that repeats within the call is answered from the memo
-    (see the cache notes above).  Returns a budget-1 child's own rows when
-    stats are kept, else None.
+    (see the cache notes above).
     """
     # memoised like every flow and isolating call; the merged set is keyed
     # as a bitmask of its vertices
@@ -325,7 +322,6 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: 
             lifted = None if mask is None else Cut(
                 cm.lift_side(i for i in range(child_g.n) if mask >> i & 1), val)
             cuts.offer(v, val, lifted)
-    return own
 
 
 def _entries(view: CandidateCuts) -> tuple[tuple[int, int, int | None], ...]:
@@ -540,8 +536,7 @@ def _leaf_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: s
     if not sides:
         return None
     branch = iso[-1].side if own_branch else frozenset()
-    # the last item keeps, per side tree, the rows of the `/z` child run
-    return (g, tree, k, seed, contracted, c, sides, side_cuts, branch, set().union(*sides), {})
+    return (g, tree, k, seed, contracted, c, sides, side_cuts, branch, set().union(*sides))
 
 
 def _leaf_tail(step, cuts: CandidateCuts, cfg: _Cfg) -> None:
@@ -550,28 +545,22 @@ def _leaf_tail(step, cuts: CandidateCuts, cfg: _Cfg) -> None:
     current estimate is weakest, merging the centroid, every other side
     region and the source's branch into one node.  Descending into all
     side trees would blow up the recursion; the shared cut above pays for
-    the branches we skip.  Nothing to do when `step` is None.
-
-    A replayed step that picks a side tree it has already recursed into
-    adds that `/z` child's rows and skips it: the child is the same
-    budget-1 instance, so every lift from it would be refused."""
+    the branches we skip.  Nothing to do when `step` is None.  A replayed
+    step that picks a side tree again meets the same budget-1 `/z` child,
+    which `_child` answers from the memo."""
     if step is None:
         return
-    g, tree, k, seed, contracted, c, sides, side_cuts, branch, pool, done = step
+    g, tree, k, seed, contracted, c, sides, side_cuts, branch, pool = step
     values = cuts.values
     # (value, -t) orders the terminals strictly, so the first maximum is
     # the only one
     z = max(pool, key=lambda t: (values[t], -t))
     i_star = next(i for i, side in enumerate(sides) if z in side)
-    if i_star in done:
-        if (own := done[i_star]) is not None:
-            _add_rows(cfg.stats, own)
-        return
     merge = {c}.union(*(gc.side for i, gc in enumerate(side_cuts) if i != i_star), branch)
     part = sides[i_star]
-    recurse = len(merge) > 1 or len(part) + 2 < tree.size
-    done[i_star] = _child(_leaf_rec, g, tree, k, cuts, f"{seed}/z", cfg, contracted, merge,
-                          part | {tree.source, c}, _source_edge(tree, c)) if recurse else None
+    if len(merge) > 1 or len(part) + 2 < tree.size:
+        _child(_leaf_rec, g, tree, k, cuts, f"{seed}/z", cfg, contracted,
+               merge, part | {tree.source, c}, _source_edge(tree, c))
 
 
 def sstcv_verify(
