@@ -711,59 +711,6 @@ def test_repeated_pruning_rounds_are_replayed(monkeypatch, leaf):
 
 
 @pytest.mark.parametrize("leaf", [False, True])
-def test_replayed_leaf_steps_skip_repeated_children(monkeypatch, leaf):
-    # A replayed leaf step that picks a side tree again meets the same
-    # budget-1 `/z` child, whose every lift would be refused: per k=2 loop,
-    # each (pruned tree, kept set) is recursed into at most once, repeats
-    # are answered from the memo, and the stats still count every round.
-    n = 20
-    g = generate("erdos-renyi-weighted", n, seed=20)
-    path = random.Random("replay|20").sample(range(n), n)
-    tr = SteinerTree(path, list(zip(path, path[1:])), path[0])
-    real_child, real_rec = treemincuts._child, treemincuts._leaf_rec
-    children = {}  # (loop frame, pruned tree, kept set) -> `/z` children
-    entered = {}  # the same key -> recursions into those children
-    calling = []  # the key of each `_child` call under way, or None
-
-    def loop_key(frame, keep):
-        # the k=2 loop a leaf step at `frame` works for, unless it is a
-        # child's own step
-        if frame.f_code.co_name != "_leaf_tail":
-            return None
-        while frame and frame.f_code.co_name not in ("_child", "_prune_rounds"):
-            frame = frame.f_back
-        if frame and frame.f_code.co_name == "_prune_rounds" and frame.f_locals["k"] == 2:
-            return frame, frame.f_locals["pruned"], frozenset(keep)
-        return None
-
-    def counted_child(rec, h, tree, k, cuts, seed, cfg, contracted, merge, keep, *extra):
-        key = loop_key(sys._getframe(1), keep)
-        if key is not None:
-            children[key] = children.get(key, 0) + 1
-        calling.append(key)
-        try:
-            return real_child(rec, h, tree, k, cuts, seed, cfg, contracted, merge, keep, *extra)
-        finally:
-            calling.pop()
-
-    def counted_rec(h, tree, k, cuts, seed, cfg, contracted):
-        key = calling[-1] if sys._getframe(1).f_code.co_name == "_child" else None
-        if key is not None:
-            entered[key] = entered.get(key, 0) + 1
-        return real_rec(h, tree, k, cuts, seed, cfg, contracted)
-
-    monkeypatch.setattr(treemincuts, "_child", counted_child)
-    monkeypatch.setattr(treemincuts, "_leaf_rec", counted_rec)
-    stats = RecursionStats()
-    fn = leaf_mincuts if leaf else tree_mincuts
-    fn(g, tr, 2, CandidateCuts([]), "replay", stats)
-    # replayed steps do pick the same side again
-    assert max(children.values()) > 1
-    assert entered and max(entered.values()) == 1
-    assert stats.as_dict() == REPLAYED_STATS[leaf]
-
-
-@pytest.mark.parametrize("leaf", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_untracked_runs_find_the_tracked_values(k, leaf):
     # The memo keeps witnesses only when the table tracks them, and keys
