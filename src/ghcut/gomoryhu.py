@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, GraphFormatError, _decimal
+from .graph import Graph, GraphFormatError
 from .maxflow import max_flow
-from .steiner import _walk
+from .steiner import _read_tree, _walk
 
 
 class GomoryHuTree:
@@ -168,8 +168,8 @@ def verify_gomory_hu(g: Graph, tree: GomoryHuTree) -> GHViolation | None:
 
 
 # ---------------------------------------------------------------------------
-# serialisation: the tree file format plus one 'w <v> <weight>' line per
-# non-root vertex
+# serialisation: a tree file (`steiner._read_tree` holds its rules) rooted
+# at 's 0', plus one 'w <v> <weight>' line per non-root vertex
 
 
 def format_gh_tree(tree: GomoryHuTree) -> str:
@@ -181,40 +181,16 @@ def format_gh_tree(tree: GomoryHuTree) -> str:
 
 
 def parse_gh_tree(text: str) -> GomoryHuTree:
-    size = None
-    edges: list[tuple[int, int]] = []
-    # vertex -> (weight, line of its 'w' record)
-    weights: dict[int, tuple[int, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        try:
-            if fields[0] == "t" and len(fields) == 2:
-                if size is not None:
-                    raise GraphFormatError("duplicate tree header", lineno)
-                size = _decimal(fields[1])
-                if size < 1:
-                    raise GraphFormatError(f"tree needs at least one vertex, got {size}", lineno)
-            elif fields[0] == "e" and len(fields) == 3:
-                edges.append((_decimal(fields[1]), _decimal(fields[2])))
-            elif fields[0] == "s" and len(fields) == 2:
-                if _decimal(fields[1]) != 0:
-                    raise GraphFormatError("cut tree root must be vertex 0", lineno)
-            elif fields[0] == "w" and len(fields) == 3:
-                v = _decimal(fields[1])
-                if v in weights:
-                    raise GraphFormatError(f"duplicate weight line for vertex {v}", lineno)
-                weights[v] = (_decimal(fields[2]), lineno)
-            else:
-                raise GraphFormatError(f"unknown record {line!r}", lineno)
-        except GraphFormatError:
-            raise
-        except ValueError as exc:
-            raise GraphFormatError(f"bad record: {exc}", lineno) from exc
-    if size is None:
-        raise GraphFormatError("missing 't <k>' header")
+    """Read a tree file rooted at 0 with ids 0..k-1, plus its 'w' lines."""
+    weights: dict[int, tuple[int, int]] = {}  # vertex -> (weight, its line)
+
+    def take(lineno: int, tag: str, numbers: list[int]) -> None:
+        if tag == "s" and numbers[0] != 0:
+            raise GraphFormatError("cut tree root must be vertex 0", lineno)
+        if tag == "w" and weights.setdefault(numbers[0], (numbers[1], lineno))[1] != lineno:
+            raise GraphFormatError(f"duplicate weight line for vertex {numbers[0]}", lineno)
+
+    size, edges, _ = _read_tree(text, {"w": ("weight line", "w <v> <w>")}, take)
     if len(edges) != size - 1:
         raise GraphFormatError(f"expected {size - 1} edges, got {len(edges)}")
     for u, v in edges:

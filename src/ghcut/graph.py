@@ -12,7 +12,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # Total weight is capped so that any sum of cut values fits comfortably in a
 # 64-bit accumulator even after repeated contraction.
@@ -166,6 +166,29 @@ def _decimal(text: str) -> int:
             text[:1] == "-" and text[1:].isdigit() and text.isascii()):
         return int(text)
     raise ValueError(f"not a decimal integer: {text!r}")
+
+
+def _records(text: str, forms: dict[str, tuple[str, str]]) -> Iterator[tuple[int, str, list[int]]]:
+    """Yield (line, tag, numbers) per record, by the rules that graph, tree
+    and cut-tree files share: blank lines and lines starting with 'c' are
+    skipped, and any other line is a tag of `forms`, which gives the
+    record's name and form ('e <u> <v>'), then a plain decimal per field."""
+    arity = {tag: form.count(" ") for tag, (_, form) in forms.items()}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
+            continue
+        if (tag := fields.pop(0)) not in arity:
+            raise GraphFormatError(f"unknown record {tag!r}", lineno)
+        if len(fields) != arity[tag]:
+            raise GraphFormatError("{} must be '{}'".format(*forms[tag]), lineno)
+        # `int` reads fields that join to ASCII digits faster than `_decimal`
+        digits = "".join(fields)
+        try:
+            numbers = [*map(int if digits.isdigit() and digits.isascii() else _decimal, fields)]
+        except ValueError as exc:
+            raise GraphFormatError(f"bad {forms[tag][0]}: {exc}", lineno) from exc
+        yield lineno, tag, numbers
 
 
 def _check_pair(n: int, s: int, t: int) -> None:
@@ -388,6 +411,7 @@ def format_graph(g: Graph, fmt: str = "dimacs") -> str:
 
 
 def parse_graph(text: str, fmt: str = "dimacs") -> Graph:
+    """Read JSON, or `_records` with one 'p' header before the m edges."""
     if fmt == "json":
         try:
             obj = json.loads(text)
@@ -399,40 +423,25 @@ def parse_graph(text: str, fmt: str = "dimacs") -> Graph:
 
     n = m = None
     edges: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] == "p":
+    forms = {"p": ("header", "p <n> <m>"), "e": ("edge", "e <u> <v> <w>")}
+    for lineno, tag, numbers in _records(text, forms):
+        if tag == "p":
             if n is not None:
                 raise GraphFormatError("duplicate header", lineno)
-            if len(fields) != 3:
-                raise GraphFormatError("header must be 'p <n> <m>'", lineno)
-            try:
-                n, m = _decimal(fields[1]), _decimal(fields[2])
-            except ValueError as exc:
-                raise GraphFormatError(f"bad header: {exc}", lineno) from exc
+            n, m = numbers
             if n < 1:
                 raise GraphFormatError(f"graph needs at least one vertex, got n={n}", lineno)
             if m < 0:
                 raise GraphFormatError(f"edge count may not be negative, got m={m}", lineno)
-        elif fields[0] == "e":
+        else:
             if n is None:
                 raise GraphFormatError("edge before header", lineno)
-            if len(fields) != 4:
-                raise GraphFormatError("edge must be 'e <u> <v> <w>'", lineno)
-            try:
-                u, v, w = _decimal(fields[1]), _decimal(fields[2]), _decimal(fields[3])
-            except ValueError as exc:
-                raise GraphFormatError(f"bad edge: {exc}", lineno) from exc
+            u, v, w = numbers
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}", lineno)
             if w < 1:
                 raise GraphFormatError(f"non-positive weight {w}", lineno)
             edges.append((u, v, w))
-        else:
-            raise GraphFormatError(f"unknown record {fields[0]!r}", lineno)
     if n is None:
         raise GraphFormatError("missing 'p <n> <m>' header")
     if m != len(edges):

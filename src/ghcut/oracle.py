@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .graph import Cut, Graph, _check_pair, _vertex_groups
-from .steiner import SteinerTree
+from .steiner import SteinerTree, _check_guide
 
 ORACLE_MAX_N = 16
 ORACLE_MAX_N_ISOLATING = 14
@@ -120,11 +120,8 @@ def _optimum(n: int, steps: Iterable[tuple[int, list[bool]]]) -> OracleAnswer:
     return OracleAnswer(best, tuple(Cut(side, best) for side in sides))
 
 
-def _check_guide(g: Graph, tree: SteinerTree, t: int, k: int) -> None:
-    if type(k) is not int or k < 0:
-        raise ValueError(f"crossing budget must be a non-negative integer, got {k!r}")
-    if tree.vertices[0] < 0 or tree.vertices[-1] >= g.n:
-        raise ValueError("tree vertices leave the graph's vertex range")
+def _check_respecting(g: Graph, tree: SteinerTree, t: int, k: int) -> None:
+    _check_guide(g, tree, k)
     if t not in tree.vertices:
         raise ValueError(f"terminal {t} is not a tree vertex")
 
@@ -147,7 +144,7 @@ def brute_respecting_min_cut(
     """
     _guard(g.n, ORACLE_MAX_N)
     _check_pair(g.n, s, t)
-    _check_guide(g, tree, t, k)
+    _check_respecting(g, tree, t, k)
     free = [v for v in range(g.n) if v != s and v != t]
     return _optimum(g.n, (
         (value, inside)
@@ -165,7 +162,7 @@ def brute_leaf_respecting_min_cut(
     _check_pair(g.n, s, t)
     if s != tree.source or tree.degree(s) != 1:
         raise ValueError("s must be the tree's source and a leaf of it")
-    _check_guide(g, tree, t, k)
+    _check_respecting(g, tree, t, k)
     p = next(u + v - s for u, v in tree.edges if s in (u, v))
     free = [v for v in range(g.n) if v != s and v != t]
     return _optimum(g.n, (

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .graph import Cut, Graph, GraphFormatError, _decimal
+from .graph import Cut, Graph, GraphFormatError, _records
 
 
 class SteinerTree:
@@ -241,6 +241,14 @@ def _subtree(tree: SteinerTree, verts: Iterable[int],
     return SteinerTree(vset, edges, tree.source)
 
 
+def _check_guide(g: Graph, tree: SteinerTree, k: int) -> None:
+    """Refuse a crossing budget that is not an int >= 0, or tree ids not in `g`."""
+    if type(k) is not int or k < 0:
+        raise ValueError(f"crossing budget k must be a non-negative integer, got {k!r}")
+    if tree.vertices[0] < 0 or tree.vertices[-1] >= g.n:
+        raise ValueError("tree vertices leave the graph's vertex range")
+
+
 def random_steiner_tree(vertices: Iterable[int], source: int, rng: random.Random) -> SteinerTree:
     """Random tree shape over the given vertex ids (edges need not exist in
     any graph): each vertex attaches to a uniformly chosen earlier one."""
@@ -288,52 +296,45 @@ def format_tree(t: SteinerTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_tree(text: str) -> SteinerTree:
-    size = None
-    source = None
+def _read_tree(text: str, extra: dict[str, tuple[str, str]] | None = None,
+               take: Callable[..., None] | None = None) -> tuple[int, list[tuple[int, int]], int]:
+    """Size, edges and source of a tree file: one 't <k>' header, k >= 1,
+    before every 'e <u> <v>' edge, and one 's <vertex>' line.  `extra` adds
+    tags (as `graph._records` takes them); `take` gets the 's' record and
+    each record with those tags, as (line, tag, numbers), when it is read."""
+    size = source = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] == "t":
+    forms = {"t": ("tree header", "t <k>"), "e": ("tree edge", "e <u> <v>"),
+             "s": ("source line", "s <vertex>"), **(extra or {})}
+    for lineno, tag, numbers in _records(text, forms):
+        if tag == "t":
             if size is not None:
                 raise GraphFormatError("duplicate tree header", lineno)
-            if len(fields) != 2:
-                raise GraphFormatError("tree header must be 't <k>'", lineno)
-            try:
-                size = _decimal(fields[1])
-            except ValueError as exc:
-                raise GraphFormatError(f"bad tree header: {exc}", lineno) from exc
-        elif fields[0] == "e":
+            size = numbers[0]
+            if size < 1:
+                raise GraphFormatError(f"tree needs at least one vertex, got {size}", lineno)
+        elif tag == "e":
             if size is None:
                 raise GraphFormatError("edge before tree header", lineno)
-            if len(fields) != 3:
-                raise GraphFormatError("tree edge must be 'e <u> <v>'", lineno)
-            try:
-                edges.append((_decimal(fields[1]), _decimal(fields[2])))
-            except ValueError as exc:
-                raise GraphFormatError(f"bad tree edge: {exc}", lineno) from exc
-        elif fields[0] == "s":
-            if source is not None:
-                raise GraphFormatError("duplicate source line", lineno)
-            if len(fields) != 2:
-                raise GraphFormatError("source line must be 's <vertex>'", lineno)
-            try:
-                source = _decimal(fields[1])
-            except ValueError as exc:
-                raise GraphFormatError(f"bad source: {exc}", lineno) from exc
+            edges.append((numbers[0], numbers[1]))
         else:
-            raise GraphFormatError(f"unknown record {fields[0]!r}", lineno)
+            if tag == "s":
+                if source is not None:
+                    raise GraphFormatError("duplicate source line", lineno)
+                source = numbers[0]
+            if take is not None:
+                take(lineno, tag, numbers)
     if size is None:
         raise GraphFormatError("missing 't <k>' header")
     if source is None:
         raise GraphFormatError("missing 's <source>' line")
-    vertices = {source}
-    for u, v in edges:
-        vertices.add(u)
-        vertices.add(v)
+    return size, edges, source
+
+
+def parse_tree(text: str) -> SteinerTree:
+    """Read a tree file (`_read_tree`) whose header counts the ids it names."""
+    size, edges, source = _read_tree(text)
+    vertices = {source, *(v for e in edges for v in e)}
     if len(vertices) != size:
         raise GraphFormatError(
             f"header declares {size} vertices but edges and source mention {len(vertices)}"

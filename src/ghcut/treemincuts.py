@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 from .graph import ContractionMap, Cut, Graph, contract
 from .isolating import isolating_cuts
 from .maxflow import max_flow, max_flow_multi
-from .steiner import SteinerTree, _subtree, decompose, prune_sample
+from .steiner import SteinerTree, _check_guide, _subtree, decompose, prune_sample
 
 # Trees at most this large are handled by one exact max-flow per terminal.
 BASE_TREE_SIZE = 6
@@ -339,16 +339,13 @@ def _quotient(g: Graph, mask: int) -> tuple[Graph, ContractionMap]:
 
 
 def _validate(g: Graph, tree: SteinerTree, k: int, reps_coeff: float) -> None:
-    if type(k) is not int or k < 0:
-        raise ValueError(f"crossing budget k must be a non-negative integer, got {k!r}")
+    _check_guide(g, tree, k)
     # checked at every k, though only pruning rounds (k > 1) read it; a
     # value whose round count overflows a float could never finish anyway
     if (isinstance(reps_coeff, bool) or not isinstance(reps_coeff, (int, float))
             or not 0 < reps_coeff <= sys.float_info.max
             or math.isinf(reps_coeff * math.log2(max(2, g.n)))):
         raise ValueError(f"reps_coeff must be a positive finite number, got {reps_coeff!r}")
-    if tree.vertices[0] < 0 or tree.vertices[-1] >= g.n:
-        raise ValueError("tree vertices leave the graph's vertex range")
 
 
 def tree_mincuts(

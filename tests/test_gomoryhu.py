@@ -16,6 +16,7 @@ from ghcut import (
     load_gh_tree,
     max_flow,
     parse_gh_tree,
+    parse_tree,
     save_gh_tree,
     verify_gomory_hu,
 )
@@ -328,12 +329,62 @@ def test_parse_orients_shuffled_flipped_edges_from_the_root(seed):
     ("t +3\n", 1, "not a decimal integer: '\\+3'"),
     ("t 3\ne 1 0\ne 2 1\ns 0\nw 1 4\nw 2 1_0\n", 6, "not a decimal integer: '1_0'"),
     ("t 3\ne 1 0\ne \u0662 1\n", 3, "not a decimal integer"),
+    ("t 2\ne 1 0\ns 0\ns 0\nw 1 4\n", 4, "duplicate source line"),
+    ("e 1 0\nt 3\ne 2 1\ns 0\nw 1 4\nw 2 6\n", 1, "edge before tree header"),
 ])
 def test_parse_rejects_bad_weight_lines(text, line, message):
     with pytest.raises(GraphFormatError, match=message) as exc:
         parse_gh_tree(text)
     assert exc.value.line == line
     assert str(exc.value).count(f"line {line}:") == 1
+
+
+def test_parse_rejects_a_file_without_source_line():
+    with pytest.raises(GraphFormatError, match="missing 's <source>' line") as exc:
+        parse_gh_tree("t 2\ne 0 1\nw 1 5\n")
+    assert exc.value.line is None
+
+
+def _mutate(lines, rng):
+    """Apply one random edit to a file's lines, in place."""
+    op = rng.randrange(6)
+    i = rng.randrange(len(lines)) if lines else None
+    if op == 0 and lines:
+        del lines[i]
+    elif op == 1 and lines:
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    elif op == 2 and lines:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == 3 and lines and len(fields := lines[i].split()) > 1:
+        fields[rng.randrange(1, len(fields))] = rng.choice(["-1", "+1", "x", "1_0", "00"])
+        lines[i] = " ".join(fields)
+    elif op == 4:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["c", "s 0", "t 3", "e 0 1"]))
+    elif op == 5 and lines:
+        lines[i] += " 1"
+
+
+def test_cut_tree_files_keep_the_tree_file_rules():
+    # a cut-tree file is a tree file plus 'w' lines: whatever the tree
+    # reader refuses once the 'w' lines are blanked, the cut-tree reader
+    # refuses too
+    rng = random.Random("cut-tree-mutants")
+    texts = [format_gh_tree(build_gusfield(generate("erdos-renyi-weighted", n, seed=seed)))
+             for n in range(2, 8) for seed in range(4)]
+    refused = 0
+    for _ in range(600):
+        lines = rng.choice(texts).splitlines()
+        for _ in range(rng.randint(1, 3)):
+            _mutate(lines, rng)
+        blanked = ["" if line.startswith("w") else line for line in lines]
+        try:
+            parse_tree("\n".join(blanked) + "\n")
+        except GraphFormatError:
+            refused += 1
+            with pytest.raises(GraphFormatError):
+                parse_gh_tree("\n".join(lines) + "\n")
+    assert refused >= 400
 
 
 def test_save_and_load(tmp_path):
