@@ -33,14 +33,26 @@ class GraphFormatError(ValueError):
         super().__init__(message)
 
 
-class Graph:
-    """Immutable weighted undirected graph.
+# Arc ids are drawn from this tuple, whose item i is the int i, so graphs
+# share one int object per id rather than each holding its own.  It grows by
+# rebinding only: two threads that extended it in place could append the
+# same range twice, and a rebound tuple is always right.
+_ARC_IDS: tuple[int, ...] = ()
 
-    Its only cache is `_hash`, filled on first use; nothing else writes to
-    a graph after it is built.
+
+class Graph:
+    """Immutable weighted undirected graph, stored as its residual arcs.
+
+    Edge i of the sorted canonical edge list is arcs 2i and 2i+1, heads
+    `to[2i] = v` and `to[2i+1] = u`, both with capacity `cap0` equal to the
+    edge weight, so arc e and arc e ^ 1 are mutual reverses.  `adj[x]`
+    lists the ids of the arcs leaving x, in arc order.  A flow solves on
+    these tuples directly with its own copy of the capacities.  Its only
+    cache is `_hash`, filled on first use; nothing else writes to a graph
+    after it is built.
     """
 
-    __slots__ = ("n", "edges", "_hash")
+    __slots__ = ("n", "to", "cap0", "adj", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         # n and endpoints must be ints (bool is refused); a weight may also
@@ -71,56 +83,78 @@ class Graph:
             merged[key] = merged.get(key, 0) + w
         if sum(merged.values()) >= WEIGHT_CAP:
             raise ValueError("total edge weight exceeds the 2^62 overflow guard")
-        self.n = n
-        self.edges: tuple[tuple[int, int, int], ...] = tuple(
-            sorted((u, v, w) for (u, v), w in merged.items())
-        )
-        self._hash: int | None = None
+        self._fill(n, merged)
 
     @classmethod
     def _from_merged(cls, n: int, merged: dict[tuple[int, int], int]) -> "Graph":
         # internal fast path: caller guarantees keys are (u, v) with u < v in
         # range and weights are positive ints within the overflow guard
         g = cls.__new__(cls)
-        g.n = n
-        g.edges = tuple(sorted((u, v, w) for (u, v), w in merged.items()))
-        g._hash = None
+        g._fill(n, merged)
         return g
+
+    def _fill(self, n: int, merged: dict[tuple[int, int], int]) -> None:
+        # key i in sorted order, (u, v), is arcs 2i (u to v) and 2i+1 (v to
+        # u); `tails[e]` is `to[e ^ 1]`, the vertex whose adj lists arc e
+        global _ARC_IDS
+        keys = sorted(merged)
+        m2 = 2 * len(keys)
+        ids = _ARC_IDS
+        if len(ids) < m2:
+            ids = _ARC_IDS = ids + tuple(range(len(ids), m2))
+        to, tails, cap0 = [0] * m2, [0] * m2, [0] * m2
+        to[::2] = tails[1::2] = [v for _, v in keys]
+        to[1::2] = tails[::2] = [u for u, _ in keys]
+        cap0[::2] = cap0[1::2] = [merged[k] for k in keys]
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for e, x in zip(ids, tails):
+            adj[x].append(e)
+        self.n = n
+        self.to = tuple(to)
+        self.cap0 = tuple(cap0)
+        self.adj = tuple(map(tuple, adj))
+        self._hash = None
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The sorted canonical (u, v, weight) triples, u < v, read off the
+        arcs anew on each call."""
+        to = self.to
+        return tuple(zip(to[1::2], to[::2], self.cap0[::2]))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.to) >> 1
 
     @property
     def total_weight(self) -> int:
-        return sum(w for _, _, w in self.edges)
+        return sum(self.cap0[::2])
 
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-vertex tuple of (neighbour, weight) pairs, built anew on each
         call; callers that walk the graph keep their own."""
-        lists: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            lists[u].append((v, w))
-            lists[v].append((u, w))
-        return tuple(tuple(l) for l in lists)
+        to, cap0 = self.to, self.cap0
+        return tuple(tuple((to[e], cap0[e]) for e in arcs) for arcs in self.adj)
 
     def weighted_degree(self, v: int) -> int:
         # a bool or a negative id would otherwise index another vertex
         if type(v) is not int or not 0 <= v < self.n:
             raise ValueError(f"vertex {v!r} out of range for n={self.n}")
-        return sum(w for a, b, w in self.edges if a == v or b == v)
+        cap0 = self.cap0
+        return sum(cap0[e] for e in self.adj[v])
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.edges == other.edges
+            and self.to == other.to
+            and self.cap0 == other.cap0
         )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.n, self.edges))
+            h = self._hash = hash((self.n, self.to, self.cap0))
         return h
 
     def __repr__(self) -> str:
@@ -278,7 +312,8 @@ def contract(g: Graph, groups: Sequence[Iterable[int]]) -> tuple[Graph, Contract
             forward[v] = group_q[gi]
 
     acc: dict[tuple[int, int], int] = {}
-    for u, v, w in g.edges:
+    to = g.to
+    for u, v, w in zip(to[1::2], to[::2], g.cap0[::2]):
         qu, qv = forward[u], forward[v]
         if qu == qv:
             continue
@@ -292,7 +327,7 @@ def contract(g: Graph, groups: Sequence[Iterable[int]]) -> tuple[Graph, Contract
 def connected_components(g: Graph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest member."""
     seen = [False] * g.n
-    adj = g.adjacency()
+    to, adj = g.to, g.adj
     comps: list[list[int]] = []
     for start in range(g.n):
         if seen[start]:
@@ -302,7 +337,8 @@ def connected_components(g: Graph) -> list[list[int]]:
         stack = [start]
         while stack:
             u = stack.pop()
-            for v, _ in adj[u]:
+            for e in adj[u]:
+                v = to[e]
                 if not seen[v]:
                     seen[v] = True
                     comp.append(v)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import Cut, Graph, _vertex_groups
-from .maxflow import _merged_flow, _network
+from .maxflow import _merged_flow
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ def isolating_cuts(g: Graph, groups: Sequence[Iterable[int]]) -> list[GroupCut]:
     for grp, region in zip(gsets, regions):
         if region == grp:
             # the group's own boundary is the only cut inside its region
-            net = _network(g)
-            value = sum(net.cap0[e] for v in grp for e in net.adj[v] if net.to[e] not in grp)
+            value = sum(g.cap0[e] for v in grp for e in g.adj[v] if g.to[e] not in grp)
             results.append(GroupCut(grp, grp, value))
             continue
         res = _merged_flow(g, grp, everything - region)

@@ -1,24 +1,15 @@
 """Exact s-t maximum flow / minimum cut via blocking flows (Dinic).
 
-Undirected edges become paired residual arcs (arc i and arc i^1 are mutual
-reverses, both starting at the edge weight).  The arcs live in a
-`ResidualNetwork`, which is built from an edge list and never mutated:
-each solve works on its own copy of the capacities, so one network can be
-reused across flows and shared between threads.
-
-Who keeps a network: every flow solves on the network of the graph last
-solved on (`_network`), matched by identity, and a new one is built only
-for a call on another graph, so Gusfield's n-1 flows, the verifier's
-pairs, each base case of the guided search and an `isolating_cuts`
-call's flows share one network.  At most one graph, and that graph's
-network, is kept alive; networks are never mutated, so threads can share
-the kept pair or replace it.
+A graph is stored as its residual arcs (see `Graph`): undirected edge i
+is arcs 2i and 2i+1, mutual reverses, both starting at the edge weight.
+Every flow solves on those arcs directly, and each solve works on its own
+copy of the capacities.  Graphs are immutable, so nothing is built, kept or
+looked up per graph, and any number of threads can solve on one graph.
 
 Flows between vertex sets (`max_flow_multi`, `isolating_cuts`) solve on a
-per-call view of the same kept network (`_merged_flow`): each set is
-merged into its smallest vertex by copying only the arc heads and the
-adjacency lists, so no network is built and the cut comes back in the
-graph's ids.
+per-call view of the graph's arcs (`_merged_flow`): each set is merged into
+its smallest vertex by copying only the arc heads and the adjacency lists,
+so the cut comes back in the graph's ids.
 
 Each phase's levels come from one search grown from both terminals
 (`_levels`), a level at a time on the side whose frontier is smaller, as
@@ -38,16 +29,16 @@ The search that finds the sink out of reach ends the solve.  When the
 sink's side runs out first, the source's side is searched to the end, so
 either way that search has labelled exactly the vertices the source can
 reach in the final residual network.  It returns them as a list, built a
-level at a time, and the reported sink side is the rest of the network's
-`vertices`: one set difference in C, with no Python pass over all n
-vertices.  The side's complement is the unique minimal source side among
-minimum cuts, so the side does not depend on which maximum flow the solve
-found, nor on the order of the arcs or on parallel ones.
+level at a time, and the reported sink side is the rest of the n vertex
+ids: one set difference in C, with no Python pass over all n vertices.
+The side's complement is the unique minimal source side among minimum
+cuts, so the side does not depend on which maximum flow the solve found,
+nor on the order of the arcs or on parallel ones.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable
+from typing import Collection, Sequence
 
 from .graph import Cut, Graph, _check_pair
 
@@ -60,50 +51,7 @@ class FlowResult:
     mincut: Cut
 
 
-class ResidualNetwork:
-    """Residual arcs at zero flow, built once and never mutated.
-
-    Edge i becomes arcs 2i and 2i+1, heads `to[2i] = v` and `to[2i+1] = u`,
-    both with capacity `cap0` equal to the edge weight; `adj[v]` lists the
-    ids of the arcs leaving v.  Every solve copies `cap0`, so one network
-    can serve any number of flows, in any order and from any thread.
-    `vertices` holds all n ids; each solve's sink side is what is left of
-    it once the vertices the source reaches are taken out.
-    """
-
-    __slots__ = ("n", "vertices", "to", "cap0", "adj")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
-        adj: list[list[int]] = [[] for _ in range(n)]
-        to: list[int] = []
-        cap0: list[int] = []
-        for u, v, w in edges:
-            adj[u].append(len(to))
-            adj[v].append(len(to) + 1)
-            to += (v, u)
-            cap0 += (w, w)
-        self.n = n
-        self.vertices = frozenset(range(n))
-        self.to = to
-        self.cap0 = cap0
-        self.adj = adj
-
-
-_last: tuple[Graph | None, ResidualNetwork | None] = (None, None)
-
-
-def _network(g: Graph) -> ResidualNetwork:
-    """g's residual network.  `_last` keeps the graph last solved on with its
-    network; a call on another graph replaces the pair in one assignment."""
-    global _last
-    kept, net = _last
-    if kept is not g:
-        net = ResidualNetwork(g.n, g.edges)
-        _last = (g, net)
-    return net
-
-
-def _levels(net: ResidualNetwork, cap: list[int], s: int,
+def _levels(to: Sequence[int], adj: Sequence[Sequence[int]], cap: list[int], s: int,
             t: int) -> tuple[list[int], list[int] | None]:
     """Levels of one phase, searched from both terminals, plus the vertices
     s can reach when t is out of reach (None when it is not).
@@ -130,8 +78,7 @@ def _levels(net: ResidualNetwork, cap: list[int], s: int,
     `reached`, which is [s] plus each source level's new vertices, lists
     them all.
     """
-    to, adj = net.to, net.adj
-    level = [-1] * net.n
+    level = [-1] * len(adj)
     level[s] = 0
     level[t] = -2
     front, back = [s], [t]
@@ -196,17 +143,20 @@ def _levels(net: ResidualNetwork, cap: list[int], s: int,
     return level, None
 
 
-def _dinic(net: ResidualNetwork, s: int, t: int) -> tuple[int, list[int]]:
+def _dinic(to: Sequence[int], adj: Sequence[Sequence[int]], cap0: Sequence[int], s: int,
+           t: int) -> tuple[int, list[int]]:
     """Max-flow value plus the vertices the source reaches in the final
     residual network, as the last level search listed them.
 
-    Every vertex not in the list is on the sink side.
+    The arcs are a graph's (see `Graph`) or a view of them; `cap0` is
+    copied, and no argument is written.  Every vertex not in the list is on
+    the sink side.
     """
-    n, to, adj = net.n, net.to, net.adj
-    cap = net.cap0[:]
+    n = len(adj)
+    cap = list(cap0)
     flow = 0
     while True:
-        level, reached = _levels(net, cap, s, t)
+        level, reached = _levels(to, adj, cap, s, t)
         if reached is not None:
             return flow, reached
         it = [0] * n
@@ -254,45 +204,42 @@ def max_flow(g: Graph, s: int, t: int) -> FlowResult:
     """Minimum s-t cut value and the cut with the minimal source side.
 
     Disconnected s and t yield value 0 with the component of s as the source
-    side.  s == t is rejected.  Back-to-back calls on one graph share its
-    residual network (see `_network`).
+    side.  s == t is rejected.
     """
     _check_pair(g.n, s, t)
-    net = _network(g)
-    value, reached = _dinic(net, s, t)
-    return FlowResult(value, Cut(net.vertices.difference(reached), value))
+    value, reached = _dinic(g.to, g.adj, g.cap0, s, t)
+    return FlowResult(value, Cut(frozenset(range(g.n)).difference(reached), value))
 
 
 def _merged_flow(g: Graph, sources: Collection[int], sinks: Collection[int]) -> FlowResult:
     """Minimum cut of `g` between two disjoint nonempty vertex sets, each
-    merged into one node, solved on a view of g's kept network.
+    merged into one node, solved on a view of g's arcs.
 
     The view shares `cap0` and copies `to` and `adj`.  Each arc leaving a
     set gets the set's smallest member as its tail: its reverse, the arc
     entering the set, gets that member as its head, and the member's
     adjacency lists the arcs leaving the set, in arc order, which is the
-    order a network built from the merged edges would list them in.  The
+    order a graph built from the merged edges would list them in.  The
     other members get no arcs and no arc points to them, so the search
     never reaches them: a source member goes to the source side by name,
     and a sink member stays on the sink side.  Arcs inside a set are left
-    out, as self-loops would be.  The kept network is never written.
+    out, as self-loops would be.  The graph is never written.
     """
-    net = _network(g)
-    to, adj = net.to[:], net.adj[:]
+    to, adj = list(g.to), list(g.adj)
     s, t = min(sources), min(sinks)
     for members, end in ((sources, s), (sinks, t)):
         inside = frozenset(members)
-        out = [e for v in inside for e in net.adj[v] if net.to[e] not in inside]
+        out = [e for v in inside for e in g.adj[v] if g.to[e] not in inside]
         for e in out:
             to[e ^ 1] = end
         for v in inside:
             adj[v] = ()
         out.sort()
-        adj[end] = out
-    view = object.__new__(type(net))
-    view.n, view.vertices, view.cap0, view.to, view.adj = net.n, net.vertices, net.cap0, to, adj
-    value, reached = _dinic(view, s, t)
-    return FlowResult(value, Cut(net.vertices.difference(reached, sources), value))
+        adj[end] = tuple(out)
+    # tuples, as a graph's arrays are: the solver's subscripts then meet one
+    # type, which CPython's specialised bytecode runs measurably faster
+    value, reached = _dinic(tuple(to), tuple(adj), g.cap0, s, t)
+    return FlowResult(value, Cut(frozenset(range(g.n)).difference(reached, sources), value))
 
 
 def max_flow_multi(g: Graph, s: int, sinks) -> FlowResult:

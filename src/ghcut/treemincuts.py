@@ -190,7 +190,8 @@ def _seed_string(rng: random.Random | int | str) -> str:
 def _live_edges(g: Graph, contracted: frozenset[int]) -> int:
     if not contracted:
         return g.m
-    return sum(1 for u, v, _ in g.edges if u not in contracted and v not in contracted)
+    to = g.to
+    return sum(1 for v, u in zip(to[::2], to[1::2]) if u not in contracted and v not in contracted)
 
 
 def _enter(procedure: str, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts,

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-import ghcut.maxflow
+import ghcut.graph
 from ghcut import (
     Graph,
     brute_min_cut,
@@ -16,7 +16,6 @@ from ghcut import (
     isolating_cuts,
     max_flow,
     max_flow_multi,
-    verify_gomory_hu,
 )
 
 
@@ -144,25 +143,10 @@ def test_multi_rejects_out_of_range_source(s):
         max_flow_multi(g, s, [1])
 
 
-def _count_network_builds(monkeypatch) -> list:
-    # every residual network built from now on appends its size here
-    builds: list = []
-    real = ghcut.maxflow.ResidualNetwork
-
-    def counting(n, edges):
-        builds.append(n)
-        return real(n, edges)
-
-    monkeypatch.setattr(ghcut.maxflow, "ResidualNetwork", counting)
-    return builds
-
-
-def test_kept_network_reused_across_pairs(monkeypatch):
-    # two graphs' ordered pairs, twice each, shuffled together: the kept
-    # network is both reused and replaced, and each answer must match a
-    # fresh graph's and the oracle's
+def test_flows_on_two_graphs_interleaved():
+    # two graphs' ordered pairs, twice each, shuffled together: each answer
+    # must match a fresh graph's and the oracle's
     rng = random.Random("flow-reuse")
-    builds = _count_network_builds(monkeypatch)
     for inst in range(8):
         n = rng.randint(4, 10) if inst < 6 else 24
         graphs = [generate(rng.choice(["erdos-renyi-weighted", "clique", "planted-cut"]), n,
@@ -170,7 +154,6 @@ def test_kept_network_reused_across_pairs(monkeypatch):
         pairs = [(i, s, t) for i in range(2) for s in range(n) for t in range(n) if s != t] * 2
         rng.shuffle(pairs)
         ref = {(i, s, t): max_flow(Graph(n, graphs[i].edges), s, t) for i, s, t in set(pairs)}
-        builds.clear()
         for i, s, t in pairs:
             g = graphs[i]
             res = max_flow(g, s, t)
@@ -179,40 +162,65 @@ def test_kept_network_reused_across_pairs(monkeypatch):
                 ans = brute_min_cut(g, s, t)
                 assert res.value == ans.value
                 assert res.mincut.side == ans.maximal_side()
-        swaps = 1 + sum(a[0] != b[0] for a, b in zip(pairs, pairs[1:]))
-        assert len(builds) == swaps < len(pairs)
 
 
-def test_one_network_per_gusfield_build(monkeypatch):
-    # Gusfield's n-1 flows share one network, and the verifier's pairs on
-    # the same graph right after reuse it
-    g = generate("erdos-renyi-weighted", 40, seed=5)
-    builds = _count_network_builds(monkeypatch)
-    tree = build_gusfield(g)
-    assert builds == [40]
-    assert verify_gomory_hu(g, tree) is None
-    assert builds == [40]
-
-
-def test_set_flows_leave_the_kept_network_as_built():
-    # set flows solve on a view of the graph's kept network with each set
-    # merged into one node; a view that wrote its merging into the network
-    # would hand the next flow on the graph another instance
+def test_set_flows_leave_the_graph_arcs_as_built():
+    # set flows solve on a view of the graph's arcs with each set merged
+    # into one node; a view that wrote its merging into the graph would
+    # hand the next flow on it another instance
     g = generate("erdos-renyi-weighted", 24, seed=8)
-    net = ghcut.maxflow._network(g)
-    fresh = ghcut.maxflow.ResidualNetwork(g.n, g.edges)
+    fresh = Graph(g.n, g.edges)
     for flows in (lambda: max_flow_multi(g, 0, [5, 9, 17]),
                   lambda: isolating_cuts(g, [[0, 1], [6], [11, 12, 13], [20]])):
         flows()
-        assert ghcut.maxflow._network(g) is net
-        assert (net.to, net.adj, net.cap0) == (fresh.to, fresh.adj, fresh.cap0)
-    assert max_flow(g, 5, 0) == max_flow(Graph(g.n, g.edges), 5, 0)
+        assert (g.to, g.adj, g.cap0) == (fresh.to, fresh.adj, fresh.cap0)
+    assert max_flow(g, 5, 0) == max_flow(fresh, 5, 0)
+
+
+def test_arc_ids_shared_under_threads(monkeypatch):
+    # graphs draw their arc ids from one shared tuple whose item i is i; a
+    # pool that two threads extended at once could repeat a range of ids,
+    # and a graph drawn from it would list another edge's arc in some
+    # adj[v].  Each round empties the pool, so that it grows while four
+    # threads build graphs of growing m
+    rng = random.Random("arc-ids")
+    n = 40
+    raws = [[[(rng.randrange(n), rng.randrange(n), rng.randint(1, 9)) for _ in range(m + i)]
+             for m in range(1, 40)] for i in range(4)]
+    serial = [[Graph(n, raw) for raw in raw_list] for raw_list in raws]
+    results: list = [None] * 4
+    errors: list = []
+
+    def work(i):
+        try:
+            results[i] = [Graph(n, raw) for raw in raws[i]]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            monkeypatch.setattr(ghcut.graph, "_ARC_IDS", ())
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+            assert not any(th.is_alive() for th in threads)
+            assert not errors
+            for built, ref in zip(results, serial):
+                for g, want in zip(built, ref):
+                    assert all(g.to[e ^ 1] == v for v in range(n) for e in g.adj[v])
+                    assert (g.to, g.cap0, g.adj) == (want.to, want.cap0, want.adj)
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_shared_network_under_threads():
-    # four threads on two graphs share the kept network and keep replacing
-    # it; a solve that wrote into the shared capacities or arc heads, or
-    # took another graph's network, would corrupt other threads' answers
+    # four threads solve on two graphs' shared arcs; a solve that wrote
+    # into a graph's capacities, arc heads or adjacency would corrupt other
+    # threads' answers
     graphs = [generate("erdos-renyi-weighted", 30, seed=seed) for seed in (11, 12)]
     pairs = [(s, t) for s in range(30) for t in range(30) if s != t][::7]
     groups = [[[s], [t], [(s + t) % 30]] for s, t in pairs if (s + t) % 30 not in (s, t)]
