@@ -17,6 +17,12 @@ from typing import Iterable, Iterator, Sequence
 # Total weight is capped so that any sum of cut values fits comfortably in a
 # 64-bit accumulator even after repeated contraction.
 WEIGHT_CAP = 2**62
+# Vertex counts are capped so that a short input cannot ask for unbounded
+# memory: a graph holds an adjacency tuple per vertex, and an empty graph at
+# the cap already takes about 80 MB.  No flow, guided search or Gomory-Hu
+# build in pure Python gets near that size (the search's n = 1024 growth
+# benchmark takes about half a minute).
+VERTEX_CAP = 2**20
 
 
 class InvalidCutError(ValueError):
@@ -61,6 +67,7 @@ class Graph:
             raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
+        _check_vertex_cap(n)
         merged: dict[tuple[int, int], int] = {}
         for e in edges:
             try:
@@ -188,6 +195,11 @@ class ContractionMap:
         """Expand a quotient vertex set back to original vertex ids."""
         qs = set(quotient_side)
         return frozenset(v for v, q in enumerate(self.forward) if q in qs)
+
+
+def _check_vertex_cap(n: int) -> None:
+    if n > VERTEX_CAP:
+        raise ValueError(f"vertex count {n} exceeds the cap of {VERTEX_CAP}")
 
 
 def _decimal(text: str) -> int:
@@ -371,6 +383,7 @@ def generate(
     """
     if type(n) is not int or n < 2:
         raise ValueError(f"generator needs an integer n >= 2, got {n!r}")
+    _check_vertex_cap(n)
     try:
         lo, hi = weight_range
     except (TypeError, ValueError):

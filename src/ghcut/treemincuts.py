@@ -21,7 +21,10 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from functools import reduce
+from itertools import compress, count
+from operator import attrgetter, or_
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graph import ContractionMap, Cut, Graph, contract
 from .isolating import isolating_cuts
@@ -145,12 +148,21 @@ class RecursionStats:
 # Every flow, multi-sink flow, isolating call and contracted child of the
 # search goes through `_cached`, at every graph size.  A repeated child is
 # then the same Graph object, so the lookups on it match by identity.
+# Inside the search every cut side is an int bitmask of the vertices of
+# its graph (bit v is vertex v), and the memo keeps results in that form:
+# a flow as (value, sink-side mask), or its value alone when the table
+# keeps no witnesses, and an isolating call as one (value, side mask) per
+# group.  Merged sets are masks too, and a quotient is keyed by its
+# merged set's mask.  A child's table keeps its witnesses as masks of the
+# child's graph, which `_child` lifts onto the parent's ids; a `Cut` with
+# a `frozenset` side is built only for an offer that improves a value of
+# the caller's own table (see `_offer`).
 # Random numbers are drawn only by pruning rounds, which run at k > 1, so a
 # budget-1 child answers the same for the same instance whatever its seed:
 # `_child` keeps its answer under (procedure, child graph, child tree,
 # supernodes) and merges a repeat from there without recursing.  The answer
-# is kept compact: the finite entries of the child's table with witness
-# sides as int bitmasks, and, when stats are kept, the child's own
+# is kept compact: the finite entries of the child's table with their
+# witness masks, and, when stats are kept, the child's own
 # `RecursionStats`, which every visit adds to the caller's.
 # Everything the cache holds is dropped when the top-level call returns.
 #
@@ -171,14 +183,82 @@ class _Cfg:
     cache: dict = field(default_factory=dict)
 
 
-def _cached(cfg: _Cfg, fn, g: Graph, *args):
-    """`fn(g, *args)`, memoised per top-level run; the arguments must be
-    hashable."""
+def _cached(cfg: _Cfg, fn, g: Graph, *args, keep=None):
+    """`fn(g, *args)`, or `keep` of it when given, memoised per top-level
+    run; the arguments must be hashable."""
     key = (fn, g, *args)
     res = cfg.cache.get(key)
     if res is None:
-        res = cfg.cache[key] = fn(g, *args)
+        res = fn(g, *args)
+        res = cfg.cache[key] = res if keep is None else keep(res)
     return res
+
+
+# what the memo keeps of a flow's result, and of an isolating call's
+_value = attrgetter("value")
+
+
+def _value_and_side(res) -> tuple[int, int]:
+    return res.value, _mask(res.mincut.side)
+
+
+def _group_sides(iso) -> tuple[tuple[int, int], ...]:
+    return tuple((gc.value, _mask(gc.side)) for gc in iso)
+
+
+def _flow(cfg: _Cfg, cuts: CandidateCuts, fn, g: Graph, s: int, sinks) -> tuple[int, int | None]:
+    """Value and sink-side mask of the flow `fn(g, s, sinks)`.  When `cuts`
+    keeps no witnesses the memo keeps the value alone, and the mask is
+    None."""
+    if cuts.track_witnesses:
+        return _cached(cfg, fn, g, s, sinks, keep=_value_and_side)
+    return _cached(cfg, fn, g, s, sinks, keep=_value), None
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    """The bitmask of distinct vertex ids (a sum of distinct powers of two
+    is their union)."""
+    return sum(map((1).__lshift__, vertices))
+
+
+# a mask's binary digits, lowest first, as bytes 0 and 1, and back
+_TO_BITS = bytes.maketrans(b"01", b"\0\1")
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bits(mask: int) -> bytes:
+    """Byte v is 1 when bit v of `mask` is set, else 0, up to its top bit."""
+    return bin(mask)[:1:-1].encode().translate(_TO_BITS)
+
+
+def _members(mask: int) -> Iterator[int]:
+    """The vertex ids of `mask`, in increasing order."""
+    return compress(count(), _bits(mask))
+
+
+def _lift(forward: Sequence[int], mask: int, nq: int) -> int:
+    """The mask of a side of an `nq`-vertex quotient lifted to the original
+    ids: vertex v is in it when its image `forward[v]` is."""
+    bits = _bits(mask).ljust(nq, b"\0")
+    return int(bytes(map(bits.__getitem__, forward)).translate(_TO_DIGITS)[::-1], 2)
+
+
+class _ChildCuts(CandidateCuts):
+    """A child instance's table: its witnesses are the sides' masks over
+    the child's graph, not `Cut`s."""
+
+    __slots__ = ()
+
+
+def _offer(cuts: CandidateCuts, t: int, value: int, mask: int | None) -> bool:
+    """Offer the cut whose terminal side has mask `mask` (None when the
+    table keeps no witnesses).  A child's table keeps the mask; the
+    caller's own table gets a `Cut`, built only when the offer improves
+    its value."""
+    witness = None
+    if cuts.track_witnesses and value < cuts.values.get(t, value):
+        witness = mask if type(cuts) is _ChildCuts else Cut(frozenset(_members(mask)), value)
+    return cuts.offer(t, value, witness)
 
 
 def _seed_string(rng: random.Random | int | str) -> str:
@@ -208,8 +288,7 @@ def _enter(procedure: str, g: Graph, tree: SteinerTree, k: int, cuts: CandidateC
         s = tree.source
         for t in tree.vertices:
             if t != s:
-                res = _cached(cfg, max_flow, g, s, t)
-                cuts.offer(t, res.value, res.mincut)
+                _offer(cuts, t, *_flow(cfg, cuts, max_flow, g, s, t))
         return False
     return True
 
@@ -263,21 +342,23 @@ def _add_rows(stats: RecursionStats, own: RecursionStats) -> None:
 
 
 def _isolate(cfg: _Cfg, g: Graph, s: int, groups: Sequence[frozenset[int]],
-             cuts: CandidateCuts):
-    """Isolating cuts of `groups`; each side is itself a cut separating its
-    group from s, so it is offered to every terminal of the group."""
-    iso = _cached(cfg, isolating_cuts, g, tuple(groups))
-    for gc in iso:
-        if s not in gc.group:
-            for t in sorted(gc.group):
-                cuts.offer(t, gc.value, gc.as_cut())
+             cuts: CandidateCuts) -> tuple[tuple[int, int], ...]:
+    """Isolating cuts of `groups`, as (value, side mask) per group; each
+    side is itself a cut separating its group from s, so it is offered to
+    every terminal of the group."""
+    iso = _cached(cfg, isolating_cuts, g, tuple(groups), keep=_group_sides)
+    for group, (value, mask) in zip(groups, iso):
+        if s not in group:
+            for t in sorted(group):
+                _offer(cuts, t, value, mask)
     return iso
 
 
 def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
-           cfg: _Cfg, contracted: frozenset[int], merge: Iterable[int],
+           cfg: _Cfg, contracted: frozenset[int], merge: int,
            keep: set[int], extra: Sequence[tuple[int, int]] = ()) -> None:
-    """Recurse at budget k on `g` with `merge` contracted to one node.
+    """Recurse at budget k on `g` with the vertices of mask `merge`
+    contracted to one node.
 
     The child tree is the subtree induced on `keep`, plus the `extra`
     edges, mapped to quotient ids, with the source's image as its source.
@@ -288,9 +369,8 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: 
     budget-1 child that repeats within the call is answered from the memo
     (see the cache notes above).
     """
-    # memoised like every flow and isolating call; the merged set is keyed
-    # as a bitmask of its vertices
-    child_g, cm = _cached(cfg, _quotient, g, sum(1 << v for v in merge))
+    # memoised like every flow and isolating call
+    child_g, cm = _cached(cfg, _quotient, g, merge)
     f = cm.forward
     back = {f[v]: v for v in keep}
     edges = [(f[u], f[v]) for u, v in tree.edges if u in keep and v in keep]
@@ -303,8 +383,8 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: 
     key = (rec, child_g, child_tree, contracted)
     answer = cfg.cache.get(key) if k == 1 else None
     if answer is None:
-        view = CandidateCuts((v for v in child_tree.vertices if v != child_tree.source),
-                             cuts.track_witnesses)
+        view = _ChildCuts((v for v in child_tree.vertices if v != child_tree.source),
+                          cuts.track_witnesses)
         if k > 1:
             rec(child_g, child_tree, k, view, seed, cfg, contracted)
             answer = (_entries(view), None)
@@ -320,23 +400,20 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: 
     for q, val, mask in entries:
         v = back[q]
         if val < best[v]:
-            lifted = None if mask is None else Cut(
-                cm.lift_side(i for i in range(child_g.n) if mask >> i & 1), val)
-            cuts.offer(v, val, lifted)
+            _offer(cuts, v, val, None if mask is None else _lift(cm.forward, mask, child_g.n))
 
 
-def _entries(view: CandidateCuts) -> tuple[tuple[int, int, int | None], ...]:
+def _entries(view: _ChildCuts) -> tuple[tuple[int, int, int | None], ...]:
     """The finite entries of a child's table as (terminal, value, witness
-    side as a bitmask or None)."""
+    mask or None)."""
     wits = view.witnesses
-    return tuple((q, val, None if (w := wits[q]) is None else sum(1 << v for v in w.side))
-                 for q, val in view.values.items() if val != math.inf)
+    return tuple((q, val, wits[q]) for q, val in view.values.items() if val != math.inf)
 
 
 def _quotient(g: Graph, mask: int) -> tuple[Graph, ContractionMap]:
-    """`g` with the vertices of bitmask `mask` merged into one node, and
-    its map."""
-    return contract(g, [[v for v in range(g.n) if mask >> v & 1]])
+    """`g` with the vertices of mask `mask` merged into one node, and its
+    map."""
+    return contract(g, [[*_members(mask)]])
 
 
 def _validate(g: Graph, tree: SteinerTree, k: int, reps_coeff: float) -> None:
@@ -452,12 +529,12 @@ def _tree_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: s
     if dec.forest:
         groups.append(dec.forest)
     iso = _isolate(cfg, g, s, groups, cuts)
-    side_cuts = iso[first:first + len(sides)]
+    side_masks = [mask for _, mask in iso[first:first + len(sides)]]
 
-    everything = frozenset(range(g.n))
-    for j, (side, gc) in enumerate(zip(sides, side_cuts), start=first - parts_at):
+    everything = (1 << g.n) - 1
+    for j, (side, mask) in enumerate(zip(sides, side_masks), start=first - parts_at):
         _child(_tree_rec, g, tree, k, cuts, f"{seed}/i{j}", cfg, contracted,
-               everything - gc.side, side | {c})
+               everything ^ mask, side | {c})
     if c == s:
         return None
 
@@ -468,7 +545,7 @@ def _tree_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: s
     # tree.
     keep = {s, c} | dec.forest | trunk_inner
     if len(keep) < tree.size:
-        merge = frozenset((c,)).union(*(gc.side for gc in side_cuts))
+        merge = reduce(or_, side_masks, 1 << c)
         _child(_tree_rec, g, tree, k, cuts, f"{seed}/y", cfg, contracted, merge, keep)
 
     # Reduced tree: drop the forest and the trunk interior, reattach the
@@ -514,27 +591,27 @@ def _leaf_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: s
     if own_branch:
         groups.append(own_branch)
     iso = _isolate(cfg, g, s, groups, cuts)
-    side_cuts = iso[2:2 + len(sides)]
+    side_masks = [mask for _, mask in iso[2:2 + len(sides)]]
 
     # Source-branch child at the same budget: the centroid and the side
     # regions collapse into a single node hanging off the branch, free to
     # land on either side of a cut, so both centroid placements survive.
     keep = {s, c} | own_branch
     if own_branch and len(keep) < tree.size:
-        merge = frozenset((c,)).union(*(gc.side for gc in side_cuts))
+        merge = reduce(or_, side_masks, 1 << c)
         _child(_leaf_rec, g, tree, k, cuts, f"{seed}/y", cfg, contracted, merge, keep)
 
     # One exact cut from the source to everything at or beyond the
     # centroid; its value is shared by all those terminals at once.
     far = tuple(sorted({c}.union(*sides)))
-    res = _cached(cfg, max_flow_multi, g, s, far)
+    value, mask = _flow(cfg, cuts, max_flow_multi, g, s, far)
     for t in far:
-        cuts.offer(t, res.value, res.mincut)
+        _offer(cuts, t, value, mask)
 
     if not sides:
         return None
-    branch = iso[-1].side if own_branch else frozenset()
-    return (g, tree, k, seed, contracted, c, sides, side_cuts, branch, set().union(*sides))
+    branch = iso[-1][1] if own_branch else 0
+    return (g, tree, k, seed, contracted, c, sides, side_masks, branch, set().union(*sides))
 
 
 def _leaf_tail(step, cuts: CandidateCuts, cfg: _Cfg) -> None:
@@ -548,15 +625,15 @@ def _leaf_tail(step, cuts: CandidateCuts, cfg: _Cfg) -> None:
     which `_child` answers from the memo."""
     if step is None:
         return
-    g, tree, k, seed, contracted, c, sides, side_cuts, branch, pool = step
+    g, tree, k, seed, contracted, c, sides, side_masks, branch, pool = step
     values = cuts.values
     # (value, -t) orders the terminals strictly, so the first maximum is
     # the only one
     z = max(pool, key=lambda t: (values[t], -t))
     i_star = next(i for i, side in enumerate(sides) if z in side)
-    merge = {c}.union(*(gc.side for i, gc in enumerate(side_cuts) if i != i_star), branch)
+    merge = reduce(or_, (m for i, m in enumerate(side_masks) if i != i_star), 1 << c | branch)
     part = sides[i_star]
-    if len(merge) > 1 or len(part) + 2 < tree.size:
+    if merge.bit_count() > 1 or len(part) + 2 < tree.size:
         _child(_leaf_rec, g, tree, k, cuts, f"{seed}/z", cfg, contracted,
                merge, part | {tree.source, c}, _source_edge(tree, c))
 

@@ -8,6 +8,7 @@ id or count are listed in `NO_ID_ARGUMENTS` with the reason, so that a new
 public name has to be placed in one list or the other.
 """
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from ghcut import (
     Graph,
     GomoryHuTree,
     SteinerTree,
+    VERTEX_CAP,
     brute_isolating_cuts,
     brute_leaf_respecting_min_cut,
     brute_min_cut,
@@ -30,12 +32,14 @@ from ghcut import (
     leaf_mincuts,
     max_flow,
     max_flow_multi,
+    parse_graph,
     prune_sample,
     random_spanning_tree,
     random_steiner_tree,
     sstcv_verify,
     tree_mincuts,
 )
+from ghcut.cli import main
 
 N = 4
 CYCLE = Graph(N, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
@@ -68,10 +72,10 @@ CASES = [
     ("max_flow_multi", "s", lambda x: max_flow_multi(CYCLE, x, [3]), VERTEX),
     ("max_flow_multi", "sinks", lambda x: max_flow_multi(CYCLE, 0, [x]), VERTEX),
     ("isolating_cuts", "groups", lambda x: isolating_cuts(CYCLE, [[0], [x]]), VERTEX),
-    ("generate", "n", lambda x: generate("clique", x), outside(2)),
+    ("generate", "n", lambda x: generate("clique", x), outside(2, VERTEX_CAP + 1)),
     ("generate", "weight_range", lambda x: generate("clique", 3, weight_range=(x, 10)), outside(1, 11)),
     ("generate", "planted_value", lambda x: generate("planted-cut", 4, planted_value=x), outside(1)),
-    ("Graph", "n", lambda x: Graph(x, []), outside(1)),
+    ("Graph", "n", lambda x: Graph(x, []), outside(1, VERTEX_CAP + 1)),
     ("Graph", "edges", lambda x: Graph(N, [(0, x, 1)]), VERTEX),
     ("Graph", "weighted_degree", lambda x: CYCLE.weighted_degree(x), VERTEX),
     ("SteinerTree", "vertices", lambda x: SteinerTree([0, x], [(0, 1)], 0), ANY_INT),
@@ -118,7 +122,7 @@ CASES = [
 NO_ID_ARGUMENTS = {
     # constants and exception classes
     "BASE_TREE_SIZE", "GENERATOR_KINDS", "ORACLE_MAX_N", "ORACLE_MAX_N_ISOLATING",
-    "WEIGHT_CAP", "GraphFormatError", "InvalidCutError", "__version__",
+    "VERTEX_CAP", "WEIGHT_CAP", "GraphFormatError", "InvalidCutError", "__version__",
     # result records that the library builds and never checks
     "ContractionMap", "Cut", "Decomposition", "FlowResult", "GHViolation",
     "GroupCut", "OracleAnswer",
@@ -193,3 +197,31 @@ def test_malformed_id_or_count_raises_value_error(name, argument, call, out_of_r
     ))
     with pytest.raises(ValueError):
         call(bad)
+
+
+# inputs a few bytes long that ask for more vertices than VERTEX_CAP; the
+# DIMACS one is the 15-byte file that once asked for about 7.5 GB
+OVERSIZED = [
+    ("dimacs-header", lambda: parse_graph("p 100000000 0\n")),
+    ("json", lambda: parse_graph(f'{{"n": {VERTEX_CAP + 1}, "edges": []}}', "json")),
+    ("Graph", lambda: Graph(10**8, [])),
+    ("generate", lambda: generate("erdos-renyi-weighted", VERTEX_CAP + 1)),
+]
+
+
+@pytest.mark.parametrize("name, call", OVERSIZED, ids=[name for name, _ in OVERSIZED])
+def test_vertex_count_above_the_cap_is_refused_before_allocating(name, call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an empty graph at the cap takes about 80 MB
+    assert peak < 1 << 20
+
+
+def test_gen_above_the_vertex_cap_exits_two(capsys):
+    assert main(["gen", "--kind", "clique", "--n", str(VERTEX_CAP + 1)]) == 2
+    assert capsys.readouterr().err.startswith("error: vertex count")

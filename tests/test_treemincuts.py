@@ -596,7 +596,8 @@ def test_children_are_contracted_once_per_call(monkeypatch):
 def test_children_keep_only_the_centroid_of_the_merged_set(monkeypatch, k, leaf):
     # `_child` lifts each child terminal back onto the one kept vertex that
     # maps to it, which needs every call's kept and merged sets to share
-    # exactly one vertex: the centroid of the tree being split.
+    # exactly one vertex: the centroid of the tree being split.  The merged
+    # set arrives as a bitmask of the parent graph's vertices.
     rng = random.Random(f"overlap|{k}|{leaf}")
     n = 40
     g = generate("erdos-renyi-weighted", n, seed=40 + k)
@@ -606,7 +607,8 @@ def test_children_keep_only_the_centroid_of_the_merged_set(monkeypatch, k, leaf)
     shared = []
 
     def checked_child(rec, h, tree, k, cuts, seed, cfg, contracted, merge, keep, *extra):
-        shared.append((set(merge) & set(keep), decompose(tree).centroid))
+        merged = {v for v in range(h.n) if merge >> v & 1}
+        shared.append((merged & set(keep), decompose(tree).centroid))
         return real_child(rec, h, tree, k, cuts, seed, cfg, contracted, merge, keep, *extra)
 
     monkeypatch.setattr(treemincuts, "_child", checked_child)
