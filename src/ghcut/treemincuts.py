@@ -41,7 +41,8 @@ class CandidateCuts:
     Values only move down.  Every stored witness is a cut of the graph the
     table was created for, with the terminal inside `side` and the source
     outside; witness tracking can be disabled for measurement runs.
-    Terminals must be `int`s (a `bool` is refused).
+    Terminals must be `int`s, and offered values non-negative `int`s (a
+    `bool` is refused as either); every terminal starts at `math.inf`.
     """
 
     __slots__ = ("values", "witnesses", "track_witnesses")
@@ -60,6 +61,8 @@ class CandidateCuts:
         """Record a candidate; ignored unless strictly better and t is known."""
         if type(t) is not int:
             raise ValueError(f"terminal {t!r} is not an integer")
+        if type(value) is not int or value < 0:
+            raise ValueError(f"cut value {value!r} is not a non-negative integer")
         cur = self.values.get(t)
         if cur is None or value >= cur:
             return False
@@ -153,10 +156,9 @@ class RecursionStats:
 # a flow as (value, sink-side mask), or its value alone when the table
 # keeps no witnesses, and an isolating call as one (value, side mask) per
 # group.  Merged sets are masks too, and a quotient is keyed by its
-# merged set's mask.  A child's table keeps its witnesses as masks of the
-# child's graph, which `_child` lifts onto the parent's ids; a `Cut` with
-# a `frozenset` side is built only for an offer that improves a value of
-# the caller's own table (see `_offer`).
+# merged set's mask.  Every table the recursion writes keeps its witnesses
+# as masks of its instance's graph, which `_child` lifts onto the parent's
+# ids; `_search` builds the caller's `Cut`s once, at the end.
 # Random numbers are drawn only by pruning rounds, which run at k > 1, so a
 # budget-1 child answers the same for the same instance whatever its seed:
 # `_child` keeps its answer under (procedure, child graph, child tree,
@@ -168,8 +170,8 @@ class RecursionStats:
 #
 # Pruning rounds at k == 2 run at budget 1 and, with few prunable parts,
 # mostly draw a tree an earlier round of the same loop drew.  Up to its
-# leaf step (`_leaf_tail`) a budget-1 round only offers into the caller's
-# table, and a repeat would offer the same cuts, all refused since values
+# leaf step (`_leaf_tail`) a budget-1 round only offers into its table,
+# and a repeat would offer the same cuts, all refused since values
 # only go down; the leaf step alone chooses by the table's values.  So
 # `_prune_rounds` keeps, for that loop only, each pruned tree's body rows
 # and the step its body returned, and a repeat adds those rows and runs
@@ -180,6 +182,8 @@ class RecursionStats:
 class _Cfg:
     reps_coeff: float
     stats: RecursionStats | None
+    # the instance's contracted nodes, kept with the stats alone (`_live_edges`)
+    supernodes: frozenset[int] | None = None
     cache: dict = field(default_factory=dict)
 
 
@@ -206,7 +210,7 @@ def _group_sides(iso) -> tuple[tuple[int, int], ...]:
     return tuple((gc.value, _mask(gc.side)) for gc in iso)
 
 
-def _flow(cfg: _Cfg, cuts: CandidateCuts, fn, g: Graph, s: int, sinks) -> tuple[int, int | None]:
+def _flow(cfg: _Cfg, cuts: _MaskCuts, fn, g: Graph, s: int, sinks) -> tuple[int, int | None]:
     """Value and sink-side mask of the flow `fn(g, s, sinks)`.  When `cuts`
     keeps no witnesses the memo keeps the value alone, and the mask is
     None."""
@@ -243,22 +247,10 @@ def _lift(forward: Sequence[int], mask: int, nq: int) -> int:
     return int(bytes(map(bits.__getitem__, forward)).translate(_TO_DIGITS)[::-1], 2)
 
 
-class _ChildCuts(CandidateCuts):
-    """A child instance's table: its witnesses are the sides' masks over
-    the child's graph, not `Cut`s."""
+class _MaskCuts(CandidateCuts):
+    """A table of the search, whose witnesses are side masks, not `Cut`s."""
 
     __slots__ = ()
-
-
-def _offer(cuts: CandidateCuts, t: int, value: int, mask: int | None) -> bool:
-    """Offer the cut whose terminal side has mask `mask` (None when the
-    table keeps no witnesses).  A child's table keeps the mask; the
-    caller's own table gets a `Cut`, built only when the offer improves
-    its value."""
-    witness = None
-    if cuts.track_witnesses and value < cuts.values.get(t, value):
-        witness = mask if type(cuts) is _ChildCuts else Cut(frozenset(_members(mask)), value)
-    return cuts.offer(t, value, witness)
 
 
 def _seed_string(rng: random.Random | int | str) -> str:
@@ -267,28 +259,27 @@ def _seed_string(rng: random.Random | int | str) -> str:
     return f"s{rng}"
 
 
-def _live_edges(g: Graph, contracted: frozenset[int]) -> int:
-    if not contracted:
+def _live_edges(g: Graph, supernodes: frozenset[int]) -> int:
+    if not supernodes:
         return g.m
     to = g.to
-    return sum(1 for v, u in zip(to[::2], to[1::2]) if u not in contracted and v not in contracted)
+    return sum(1 for v, u in zip(to[::2], to[1::2]) if u not in supernodes and v not in supernodes)
 
 
-def _enter(procedure: str, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts,
-           cfg: _Cfg, contracted: frozenset[int]) -> bool:
+def _enter(procedure: str, g: Graph, tree: SteinerTree, k: int, cuts: _MaskCuts, cfg: _Cfg) -> bool:
     """Shared prologue of both recursions: record the call when stats are
     kept, and settle the instance outright when the budget is spent or the
     tree is small (one exact flow per terminal).  True when the caller must
     go on and split the tree."""
     if cfg.stats is not None:
-        cfg.stats.record(procedure, k, g.n, tree.size, _live_edges(g, contracted))
+        cfg.stats.record(procedure, k, g.n, tree.size, _live_edges(g, cfg.supernodes))
     if k == 0:
         return False
     if tree.size <= BASE_TREE_SIZE:
         s = tree.source
         for t in tree.vertices:
             if t != s:
-                _offer(cuts, t, *_flow(cfg, cuts, max_flow, g, s, t))
+                cuts.offer(t, *_flow(cfg, cuts, max_flow, g, s, t))
         return False
     return True
 
@@ -300,9 +291,8 @@ def _source_edge(tree: SteinerTree, c: int) -> tuple[tuple[int, int], ...]:
     return () if sc in tree.edges else (sc,)
 
 
-def _prune_rounds(body, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts,
-                  seed: str, cfg: _Cfg, contracted: frozenset[int],
-                  parts: Sequence[frozenset[int]]) -> None:
+def _prune_rounds(body, g: Graph, tree: SteinerTree, k: int, cuts: _MaskCuts,
+                  seed: str, cfg: _Cfg, parts: Sequence[frozenset[int]]) -> None:
     """Random pruning lowers the budget: any cut whose extra tree crossings
     sit inside pruned parts is caught by a k-1 call on the thinned tree.
 
@@ -317,14 +307,14 @@ def _prune_rounds(body, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts
         coin = random.Random(f"{seed}/p{r}#coins")
         pruned = prune_sample(tree, parts, coin)
         if k > 2:
-            _leaf_tail(body(g, pruned, k - 1, cuts, f"{seed}/p{r}", cfg, contracted), cuts, cfg)
+            _leaf_tail(body(g, pruned, k - 1, cuts, f"{seed}/p{r}", cfg), cuts, cfg)
             continue
         visit = visits.get(pruned)
         if visit is None:
             # the body's rows are counted apart, so that a repeat can add them
             own = None if cfg.stats is None else RecursionStats()
             body_cfg = cfg if own is None else replace(cfg, stats=own)
-            step = body(g, pruned, 1, cuts, f"{seed}/p{r}", body_cfg, contracted)
+            step = body(g, pruned, 1, cuts, f"{seed}/p{r}", body_cfg)
             visit = visits[pruned] = (own, step)
         # a budget-1 call draws no random numbers, so the first visit's
         # seed in `step` serves the repeat too
@@ -342,7 +332,7 @@ def _add_rows(stats: RecursionStats, own: RecursionStats) -> None:
 
 
 def _isolate(cfg: _Cfg, g: Graph, s: int, groups: Sequence[frozenset[int]],
-             cuts: CandidateCuts) -> tuple[tuple[int, int], ...]:
+             cuts: _MaskCuts) -> tuple[tuple[int, int], ...]:
     """Isolating cuts of `groups`, as (value, side mask) per group; each
     side is itself a cut separating its group from s, so it is offered to
     every terminal of the group."""
@@ -350,13 +340,12 @@ def _isolate(cfg: _Cfg, g: Graph, s: int, groups: Sequence[frozenset[int]],
     for group, (value, mask) in zip(groups, iso):
         if s not in group:
             for t in sorted(group):
-                _offer(cuts, t, value, mask)
+                cuts.offer(t, value, mask)
     return iso
 
 
-def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
-           cfg: _Cfg, contracted: frozenset[int], merge: int,
-           keep: set[int], extra: Sequence[tuple[int, int]] = ()) -> None:
+def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: _MaskCuts, seed: str, cfg: _Cfg,
+           merge: int, keep: set[int], extra: Sequence[tuple[int, int]] = ()) -> None:
     """Recurse at budget k on `g` with the vertices of mask `merge`
     contracted to one node.
 
@@ -377,22 +366,20 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: 
     edges.extend((f[u], f[v]) for u, v in extra)
     child_tree = SteinerTree(back, edges, f[tree.source])
     stats = cfg.stats
-    # supernodes are only needed to count live edges
+    supernodes = None
     if stats is not None:
-        contracted = frozenset(f[v] for v in contracted) | cm.contracted_nodes
-    key = (rec, child_g, child_tree, contracted)
+        supernodes = frozenset(f[v] for v in cfg.supernodes) | cm.contracted_nodes
+    key = (rec, child_g, child_tree, supernodes)
     answer = cfg.cache.get(key) if k == 1 else None
     if answer is None:
-        view = _ChildCuts((v for v in child_tree.vertices if v != child_tree.source),
-                          cuts.track_witnesses)
-        if k > 1:
-            rec(child_g, child_tree, k, view, seed, cfg, contracted)
-            answer = (_entries(view), None)
-        else:
-            # counted apart, so that every visit can add the same rows
-            own = None if stats is None else RecursionStats()
-            rec(child_g, child_tree, k, view, seed, replace(cfg, stats=own), contracted)
-            answer = cfg.cache[key] = (_entries(view), own)
+        view = _MaskCuts((v for v in child_tree.vertices if v != child_tree.source),
+                         cuts.track_witnesses)
+        # counted apart, so that every visit of a kept answer adds the same rows
+        own = None if stats is None else RecursionStats()
+        rec(child_g, child_tree, k, view, seed, replace(cfg, stats=own, supernodes=supernodes))
+        answer = (_entries(view), own)
+        if k == 1:
+            cfg.cache[key] = answer
     entries, own = answer
     if own is not None:
         _add_rows(stats, own)
@@ -400,12 +387,11 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: 
     for q, val, mask in entries:
         v = back[q]
         if val < best[v]:
-            _offer(cuts, v, val, None if mask is None else _lift(cm.forward, mask, child_g.n))
+            cuts.offer(v, val, None if mask is None else _lift(f, mask, child_g.n))
 
 
-def _entries(view: _ChildCuts) -> tuple[tuple[int, int, int | None], ...]:
-    """The finite entries of a child's table as (terminal, value, witness
-    mask or None)."""
+def _entries(view: _MaskCuts) -> tuple[tuple[int, int, int | None], ...]:
+    """The finite entries of a table as (terminal, value, witness mask or None)."""
     wits = view.witnesses
     return tuple((q, val, wits[q]) for q, val in view.values.items() if val != math.inf)
 
@@ -446,8 +432,7 @@ def tree_mincuts(
     With `stats=None` no per-call bookkeeping is done.
     """
     _validate(g, tree, k, reps_coeff)
-    cuts.ensure(v for v in tree.vertices if v != tree.source)
-    _tree_rec(g, tree, k, cuts, _seed_string(rng), _Cfg(reps_coeff, stats), frozenset())
+    _search(_tree_rec, g, tree, k, cuts, rng, stats, reps_coeff)
 
 
 def leaf_mincuts(
@@ -470,26 +455,39 @@ def leaf_mincuts(
     _validate(g, tree, k, reps_coeff)
     if tree.degree(tree.source) != 1:
         raise ValueError("the leaf variant needs the source to be a tree leaf")
-    cuts.ensure(v for v in tree.vertices if v != tree.source)
-    _leaf_rec(g, tree, k, cuts, _seed_string(rng), _Cfg(reps_coeff, stats), frozenset())
+    _search(_leaf_rec, g, tree, k, cuts, rng, stats, reps_coeff)
 
 
-def _tree_rec(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
-              cfg: _Cfg, contracted: frozenset[int]) -> None:
-    _leaf_tail(_tree_body(g, tree, k, cuts, seed, cfg, contracted), cuts, cfg)
+def _search(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, rng,
+            stats: RecursionStats | None, reps_coeff: float) -> None:
+    """Run the recursion `rec` on a mask table that starts at the caller's
+    values, then offer `cuts` each value it improved, with its `Cut`."""
+    terminals = [v for v in tree.vertices if v != tree.source]
+    cuts.ensure(terminals)
+    table = _MaskCuts(terminals, cuts.track_witnesses)
+    # the leaf step chooses by these values
+    table.values.update((t, cuts.values[t]) for t in terminals)
+    cfg = _Cfg(reps_coeff, stats, None if stats is None else frozenset())
+    rec(g, tree, k, table, _seed_string(rng), cfg)
+    for t, value, mask in _entries(table):
+        if value < cuts.values[t]:
+            cuts.offer(t, value, None if mask is None else Cut(frozenset(_members(mask)), value))
 
 
-def _leaf_rec(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
-              cfg: _Cfg, contracted: frozenset[int]) -> None:
-    _leaf_tail(_leaf_body(g, tree, k, cuts, seed, cfg, contracted), cuts, cfg)
+def _tree_rec(g: Graph, tree: SteinerTree, k: int, cuts: _MaskCuts, seed: str, cfg: _Cfg) -> None:
+    _leaf_tail(_tree_body(g, tree, k, cuts, seed, cfg), cuts, cfg)
 
 
-def _tree_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
-               cfg: _Cfg, contracted: frozenset[int]) -> tuple | None:
+def _leaf_rec(g: Graph, tree: SteinerTree, k: int, cuts: _MaskCuts, seed: str, cfg: _Cfg) -> None:
+    _leaf_tail(_leaf_body(g, tree, k, cuts, seed, cfg), cuts, cfg)
+
+
+def _tree_body(g: Graph, tree: SteinerTree, k: int, cuts: _MaskCuts, seed: str,
+               cfg: _Cfg) -> tuple | None:
     """`_tree_rec` up to the leaf step of its `/l` call at k == 1: that
     step, as `_leaf_body` returns it, or None when there is none.  At
     k > 1 the `/l` and `/r` calls are made here, and None is returned."""
-    if not _enter("tree", g, tree, k, cuts, cfg, contracted):
+    if not _enter("tree", g, tree, k, cuts, cfg):
         return None
 
     s = tree.source
@@ -501,12 +499,12 @@ def _tree_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: s
     # At budget 1 the pruned calls would be no-ops, so skip them outright.
     if k > 1:
         parts = ([dec.forest] if dec.forest else []) + list(sides)
-        _prune_rounds(_tree_body, g, tree, k, cuts, seed, cfg, contracted, parts)
+        _prune_rounds(_tree_body, g, tree, k, cuts, seed, cfg, parts)
 
         # The source-side forest on its own, one budget lower.
         if dec.forest:
             t2 = _subtree(tree, dec.forest | {s})
-            _tree_rec(g, t2, k - 1, cuts, f"{seed}/f", cfg, contracted)
+            _tree_rec(g, t2, k - 1, cuts, f"{seed}/f", cfg)
 
     # Isolating cuts split the rest of the work into disjoint contracted
     # children, each recursed at the same budget: one child per side tree,
@@ -533,8 +531,7 @@ def _tree_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: s
 
     everything = (1 << g.n) - 1
     for j, (side, mask) in enumerate(zip(sides, side_masks), start=first - parts_at):
-        _child(_tree_rec, g, tree, k, cuts, f"{seed}/i{j}", cfg, contracted,
-               everything ^ mask, side | {c})
+        _child(_tree_rec, g, tree, k, cuts, f"{seed}/i{j}", cfg, everything ^ mask, side | {c})
     if c == s:
         return None
 
@@ -546,7 +543,7 @@ def _tree_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: s
     keep = {s, c} | dec.forest | trunk_inner
     if len(keep) < tree.size:
         merge = reduce(or_, side_masks, 1 << c)
-        _child(_tree_rec, g, tree, k, cuts, f"{seed}/y", cfg, contracted, merge, keep)
+        _child(_tree_rec, g, tree, k, cuts, f"{seed}/y", cfg, merge, keep)
 
     # Reduced tree: drop the forest and the trunk interior, reattach the
     # source directly at the centroid.  The leaf variant hunts cuts through
@@ -554,17 +551,17 @@ def _tree_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: s
     # one crossing, so a k-1 pass completes the coverage.
     t4 = _subtree(tree, {s, c}.union(*sides), _source_edge(tree, c))
     if k == 1:
-        return _leaf_body(g, t4, k, cuts, f"{seed}/l", cfg, contracted)
-    _leaf_rec(g, t4, k, cuts, f"{seed}/l", cfg, contracted)
-    _tree_rec(g, t4, k - 1, cuts, f"{seed}/r", cfg, contracted)
+        return _leaf_body(g, t4, k, cuts, f"{seed}/l", cfg)
+    _leaf_rec(g, t4, k, cuts, f"{seed}/l", cfg)
+    _tree_rec(g, t4, k - 1, cuts, f"{seed}/r", cfg)
     return None
 
 
-def _leaf_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: str,
-               cfg: _Cfg, contracted: frozenset[int]) -> tuple | None:
+def _leaf_body(g: Graph, tree: SteinerTree, k: int, cuts: _MaskCuts, seed: str,
+               cfg: _Cfg) -> tuple | None:
     """`_leaf_rec` up to its single side-tree branch: returns what
     `_leaf_tail` needs for that branch, or None when there is none."""
-    if not _enter("leaf", g, tree, k, cuts, cfg, contracted):
+    if not _enter("leaf", g, tree, k, cuts, cfg):
         return None
 
     s = tree.source
@@ -577,14 +574,14 @@ def _leaf_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: s
     sides = dec.side_trees
 
     if k > 1:
-        _prune_rounds(_leaf_body, g, tree, k, cuts, seed, cfg, contracted, sides)
+        _prune_rounds(_leaf_body, g, tree, k, cuts, seed, cfg, sides)
 
         # Drop the source's own branch and reattach the source at the
         # centroid; cuts through the old source edge that stay out of the
         # branch lose a crossing, so the unrestricted variant at k-1 covers
         # them.
         t2 = _subtree(tree, {s, c}.union(*sides), _source_edge(tree, c))
-        _tree_rec(g, t2, k - 1, cuts, f"{seed}/b", cfg, contracted)
+        _tree_rec(g, t2, k - 1, cuts, f"{seed}/b", cfg)
 
     groups: list[frozenset[int]] = [frozenset([s]), frozenset([c])]
     groups.extend(sides)
@@ -599,22 +596,22 @@ def _leaf_body(g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, seed: s
     keep = {s, c} | own_branch
     if own_branch and len(keep) < tree.size:
         merge = reduce(or_, side_masks, 1 << c)
-        _child(_leaf_rec, g, tree, k, cuts, f"{seed}/y", cfg, contracted, merge, keep)
+        _child(_leaf_rec, g, tree, k, cuts, f"{seed}/y", cfg, merge, keep)
 
     # One exact cut from the source to everything at or beyond the
     # centroid; its value is shared by all those terminals at once.
     far = tuple(sorted({c}.union(*sides)))
     value, mask = _flow(cfg, cuts, max_flow_multi, g, s, far)
     for t in far:
-        _offer(cuts, t, value, mask)
+        cuts.offer(t, value, mask)
 
     if not sides:
         return None
     branch = iso[-1][1] if own_branch else 0
-    return (g, tree, k, seed, contracted, c, sides, side_masks, branch, set().union(*sides))
+    return (g, tree, k, seed, c, sides, side_masks, branch, set().union(*sides))
 
 
-def _leaf_tail(step, cuts: CandidateCuts, cfg: _Cfg) -> None:
+def _leaf_tail(step, cuts: _MaskCuts, cfg: _Cfg) -> None:
     """The single side-tree branch of `_leaf_rec`, the one step of either
     recursion that chooses by the values in `cuts`: recurse only where the
     current estimate is weakest, merging the centroid, every other side
@@ -625,7 +622,7 @@ def _leaf_tail(step, cuts: CandidateCuts, cfg: _Cfg) -> None:
     which `_child` answers from the memo."""
     if step is None:
         return
-    g, tree, k, seed, contracted, c, sides, side_masks, branch, pool = step
+    g, tree, k, seed, c, sides, side_masks, branch, pool = step
     values = cuts.values
     # (value, -t) orders the terminals strictly, so the first maximum is
     # the only one
@@ -634,7 +631,7 @@ def _leaf_tail(step, cuts: CandidateCuts, cfg: _Cfg) -> None:
     merge = reduce(or_, (m for i, m in enumerate(side_masks) if i != i_star), 1 << c | branch)
     part = sides[i_star]
     if merge.bit_count() > 1 or len(part) + 2 < tree.size:
-        _child(_leaf_rec, g, tree, k, cuts, f"{seed}/z", cfg, contracted,
+        _child(_leaf_rec, g, tree, k, cuts, f"{seed}/z", cfg,
                merge, part | {tree.source, c}, _source_edge(tree, c))
 
 

@@ -103,6 +103,8 @@ CASES = [
     ("CandidateCuts", "ensure", lambda x: CandidateCuts([0]).ensure([x]), ANY_INT),
     # an int that is not a terminal is ignored by an offer, but not looked up
     ("CandidateCuts", "offer", lambda x: CandidateCuts([0]).offer(x, 1), ANY_INT),
+    # a cut value: NaN, a bool, a str or a negative int would be stored
+    ("CandidateCuts", "offer value", lambda x: CandidateCuts([0]).offer(0, x), outside(0)),
     ("CandidateCuts", "value", lambda x: CandidateCuts([0]).value(x), outside(0, 1)),
     ("CandidateCuts", "witness", lambda x: CandidateCuts([0]).witness(x), outside(0, 1)),
     ("brute_min_cut", "s", lambda x: brute_min_cut(CYCLE, x, 3), VERTEX),

@@ -606,10 +606,10 @@ def test_children_keep_only_the_centroid_of_the_merged_set(monkeypatch, k, leaf)
     real_child = treemincuts._child
     shared = []
 
-    def checked_child(rec, h, tree, k, cuts, seed, cfg, contracted, merge, keep, *extra):
+    def checked_child(rec, h, tree, k, cuts, seed, cfg, merge, keep, *extra):
         merged = {v for v in range(h.n) if merge >> v & 1}
         shared.append((merged & set(keep), decompose(tree).centroid))
-        return real_child(rec, h, tree, k, cuts, seed, cfg, contracted, merge, keep, *extra)
+        return real_child(rec, h, tree, k, cuts, seed, cfg, merge, keep, *extra)
 
     monkeypatch.setattr(treemincuts, "_child", checked_child)
     fn = leaf_mincuts if leaf else tree_mincuts
@@ -629,10 +629,10 @@ def test_budget_one_children_run_once_per_call(monkeypatch):
     entered = []
 
     def recording(name):
-        def wrapper(h, tree, k, cuts, seed, cfg, contracted):
+        def wrapper(h, tree, k, cuts, seed, cfg):
             if k == 1 and sys._getframe(1).f_code.co_name == "_child":
-                entered.append((name, h, tree, contracted))
-            return real[name](h, tree, k, cuts, seed, cfg, contracted)
+                entered.append((name, h, tree, cfg.supernodes))
+            return real[name](h, tree, k, cuts, seed, cfg)
         return wrapper
 
     for name in real:

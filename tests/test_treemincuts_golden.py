@@ -7,7 +7,8 @@ the size of the guided-search benchmark, is pinned by a sha256 digest of its
 canonical JSON.  Together the small cases reach every recursive call site of
 both procedures (pruning rounds, the forest, per-part and folded children,
 the reduced tree and the leaf variant's single side-tree branch); one more
-pins the branch in pruning rounds that repeat an earlier round's tree.
+pins the branch in pruning rounds that repeat an earlier round's tree, and
+one a second search into a table that already holds values.
 """
 import hashlib
 import json
@@ -46,6 +47,10 @@ def run(fn, g, tr, k, seed):
     cuts = CandidateCuts([])
     stats = RecursionStats()
     fn(g, tr, k, cuts, seed, stats)
+    return output(cuts, stats)
+
+
+def output(cuts, stats):
     return {
         "values": dict(sorted(cuts.values.items())),
         "witnesses": {
@@ -230,6 +235,38 @@ REPLAY = (
     },
 )
 
+# Two searches into one table: a tree search at k=2, then a leaf search
+# from the same source at k=3, with one `RecursionStats` for both.  The
+# second search starts from the values the first left, and its leaf steps
+# choose their side trees by them; had it started from math.inf, it would
+# choose others and count other rows.
+TWO_SEARCHES = (
+    ((10, 8, 12), "t12"),
+    {
+        "values": {0: 21, 1: 6, 2: 16, 5: 2, 6: 10, 8: 20, 9: 24},
+        "witnesses": {
+            0: [[0], 21],
+            1: [[1], 6],
+            2: [[1, 2, 3, 5, 6], 16],
+            5: [[5], 2],
+            6: [[3, 5, 6], 10],
+            8: [[8], 20],
+            9: [[0, 4, 8, 9], 24],
+        },
+        "stats": {
+            "leaf": {
+                "1": {"calls": 60, "vertices": 467, "tree_vertices": 278, "edges": 669},
+                "2": {"calls": 16, "vertices": 130, "tree_vertices": 74, "edges": 195},
+                "3": {"calls": 3, "vertices": 18, "tree_vertices": 14, "edges": 20},
+            },
+            "tree": {
+                "1": {"calls": 55, "vertices": 340, "tree_vertices": 200, "edges": 436},
+                "2": {"calls": 10, "vertices": 45, "tree_vertices": 36, "edges": 40},
+            },
+        },
+    },
+)
+
 BIG_DIGEST = "96fa68bfa937f39d246d70a6f2bd367e3499009beb41ec44e9f7d1a48f53a090"
 
 
@@ -256,3 +293,14 @@ def test_replayed_rounds_redecide_the_leaf_step():
     (args, seed), expected = REPLAY
     g, tr = instance(*args, leaf=True)
     assert run(leaf_mincuts, g, tr, 2, seed) == expected
+
+
+def test_a_second_search_starts_from_the_values_in_its_table():
+    (args, seed), expected = TWO_SEARCHES
+    g, tr = instance(*args, leaf=True)
+    first = random_steiner_tree(tr.vertices, tr.source, random.Random(f"golden|two|{seed}"))
+    cuts = CandidateCuts([])
+    stats = RecursionStats()
+    tree_mincuts(g, first, 2, cuts, f"{seed}/a", stats)
+    leaf_mincuts(g, tr, 3, cuts, f"{seed}/b", stats)
+    assert output(cuts, stats) == expected
