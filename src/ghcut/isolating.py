@@ -7,7 +7,8 @@ against everything outside its region, all on `g` with the vertex sets
 merged.  A group whose region is the group itself needs no flow: its only
 isolating cut inside the region is its own boundary.  Each reported side
 is the unique minimal optimal one (the residual-reachability side nearest
-the group), so the sides are pairwise disjoint.
+the group), so the sides are pairwise disjoint.  The guided search asks
+`_isolating_cuts` for the sides it reads: all but the source group's.
 """
 from __future__ import annotations
 
@@ -40,7 +41,13 @@ def isolating_cuts(g: Graph, groups: Sequence[Iterable[int]]) -> list[GroupCut]:
     gsets, _ = _vertex_groups(g.n, groups, "isolating")
     if len(gsets) < 2:
         raise ValueError(f"need at least 2 groups, got {len(gsets)}")
+    return _isolating_cuts(g, gsets, 0)
 
+
+def _isolating_cuts(g: Graph, gsets: Sequence[frozenset[int]], first: int) -> list[GroupCut]:
+    """`isolating_cuts` of checked groups, for `gsets[first:]` only: every
+    group still takes part in the localisation, but the groups before
+    `first` get no flow of their own."""
     everything = frozenset(range(g.n))
 
     # Localisation: for every index bit, one max-flow separating the groups
@@ -57,7 +64,7 @@ def isolating_cuts(g: Graph, groups: Sequence[Iterable[int]]) -> list[GroupCut]:
             regions[i] &= one_side if (i >> bit) & 1 else zero_side
 
     results: list[GroupCut] = []
-    for grp, region in zip(gsets, regions):
+    for grp, region in zip(gsets[first:], regions[first:]):
         if region == grp:
             # the group's own boundary is the only cut inside its region
             value = sum(g.cap0[e] for v in grp for e in g.adj[v] if g.to[e] not in grp)

@@ -51,6 +51,19 @@ class SteinerTree:
         self.edges = es
         self.source = source
 
+    @classmethod
+    def _derived(cls, vertices: tuple[int, ...], edges: tuple[tuple[int, int], ...],
+                 source: int) -> SteinerTree:
+        """A tree built from a checked one, taken without the constructor's
+        checks: the caller vouches that `vertices` is a sorted tuple, `edges`
+        a sorted tuple of (u, v) pairs with u < v, and that they make a tree
+        holding `source`, as the constructor would have stored them."""
+        t = object.__new__(cls)
+        t.vertices = vertices
+        t.edges = edges
+        t.source = source
+        return t
+
     @property
     def size(self) -> int:
         return len(self.vertices)
@@ -220,25 +233,34 @@ def prune_sample(
         if p & taken:
             raise ValueError("prunable parts overlap")
         taken |= p
-    removed: set[int] = set()
-    for p in psets:
-        if rng.random() < 0.5:
-            removed |= p
-    if not removed:
-        return t
+    pruned = _pruned(t, psets, rng)
     # a part that does not hang off the tree leaves it disconnected, which
     # SteinerTree rejects
-    return _subtree(t, vset - removed)
+    return pruned if pruned is t else SteinerTree(pruned.vertices, pruned.edges, t.source)
+
+
+def _pruned(tree: SteinerTree, parts: Iterable[set[int] | frozenset[int]],
+            rng: random.Random) -> SteinerTree:
+    """`tree` with each part removed independently with probability 1/2, one
+    coin drawn per part in order; derived without the checks, so the parts
+    must hang off the rest of the tree, as `decompose`'s parts do."""
+    removed: set[int] = set()
+    for p in parts:
+        if rng.random() < 0.5:
+            removed |= p
+    return _subtree(tree, set(tree.vertices) - removed) if removed else tree
 
 
 def _subtree(tree: SteinerTree, verts: Iterable[int],
              extra_edges: Sequence[tuple[int, int]] = ()) -> SteinerTree:
     """Subtree induced on `verts` (which must include the source), plus any
-    explicitly added edges."""
+    explicitly added (u, v) edges with u < v.  Nothing is checked: the
+    caller vouches that the result is a tree (`SteinerTree._derived`)."""
     vset = set(verts)
-    edges = [(u, v) for u, v in tree.edges if u in vset and v in vset]
-    edges.extend(extra_edges)
-    return SteinerTree(vset, edges, tree.source)
+    edges = [e for e in tree.edges if e[0] in vset and e[1] in vset]
+    if extra_edges:
+        edges = sorted(edges + list(extra_edges))
+    return SteinerTree._derived(tuple(sorted(vset)), tuple(edges), tree.source)
 
 
 def _check_guide(g: Graph, tree: SteinerTree, k: int) -> None:

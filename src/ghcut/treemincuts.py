@@ -22,14 +22,14 @@ import random
 import sys
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import attrgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graph import ContractionMap, Cut, Graph, contract
-from .isolating import isolating_cuts
+from .isolating import _isolating_cuts
 from .maxflow import max_flow, max_flow_multi
-from .steiner import SteinerTree, _check_guide, _subtree, decompose, prune_sample
+from .steiner import SteinerTree, _check_guide, _pruned, _subtree, decompose
 
 # Trees at most this large are handled by one exact max-flow per terminal.
 BASE_TREE_SIZE = 6
@@ -182,8 +182,9 @@ class RecursionStats:
 class _Cfg:
     reps_coeff: float
     stats: RecursionStats | None
-    # the instance's contracted nodes, kept with the stats alone (`_live_edges`)
+    # the instance's contracted nodes and its `_live_edges`, kept with the stats alone
     supernodes: frozenset[int] | None = None
+    live_edges: int | None = None
     cache: dict = field(default_factory=dict)
 
 
@@ -260,8 +261,6 @@ def _seed_string(rng: random.Random | int | str) -> str:
 
 
 def _live_edges(g: Graph, supernodes: frozenset[int]) -> int:
-    if not supernodes:
-        return g.m
     to = g.to
     return sum(1 for v, u in zip(to[::2], to[1::2]) if u not in supernodes and v not in supernodes)
 
@@ -272,7 +271,7 @@ def _enter(procedure: str, g: Graph, tree: SteinerTree, k: int, cuts: _MaskCuts,
     tree is small (one exact flow per terminal).  True when the caller must
     go on and split the tree."""
     if cfg.stats is not None:
-        cfg.stats.record(procedure, k, g.n, tree.size, _live_edges(g, cfg.supernodes))
+        cfg.stats.record(procedure, k, g.n, tree.size, cfg.live_edges)
     if k == 0:
         return False
     if tree.size <= BASE_TREE_SIZE:
@@ -305,7 +304,7 @@ def _prune_rounds(body, g: Graph, tree: SteinerTree, k: int, cuts: _MaskCuts,
     visits: dict[SteinerTree, tuple] = {}
     for r in range(rounds):
         coin = random.Random(f"{seed}/p{r}#coins")
-        pruned = prune_sample(tree, parts, coin)
+        pruned = _pruned(tree, parts, coin)
         if k > 2:
             _leaf_tail(body(g, pruned, k - 1, cuts, f"{seed}/p{r}", cfg), cuts, cfg)
             continue
@@ -331,16 +330,15 @@ def _add_rows(stats: RecursionStats, own: RecursionStats) -> None:
             total[i] += x
 
 
-def _isolate(cfg: _Cfg, g: Graph, s: int, groups: Sequence[frozenset[int]],
+def _isolate(cfg: _Cfg, g: Graph, groups: Sequence[frozenset[int]],
              cuts: _MaskCuts) -> tuple[tuple[int, int], ...]:
-    """Isolating cuts of `groups`, as (value, side mask) per group; each
-    side is itself a cut separating its group from s, so it is offered to
-    every terminal of the group."""
-    iso = _cached(cfg, isolating_cuts, g, tuple(groups), keep=_group_sides)
-    for group, (value, mask) in zip(groups, iso):
-        if s not in group:
-            for t in sorted(group):
-                cuts.offer(t, value, mask)
+    """Isolating cuts as (value, side mask) for each group but the source's
+    own, `groups[0]`; each side separates its group from the source, so it
+    is offered to every terminal of the group."""
+    iso = _cached(cfg, _isolating_cuts, g, tuple(groups), 1, keep=_group_sides)
+    for group, (value, mask) in zip(groups[1:], iso):
+        for t in sorted(group):
+            cuts.offer(t, value, mask)
     return iso
 
 
@@ -362,13 +360,13 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: _MaskCuts, seed: str,
     child_g, cm = _cached(cfg, _quotient, g, merge)
     f = cm.forward
     back = {f[v]: v for v in keep}
-    edges = [(f[u], f[v]) for u, v in tree.edges if u in keep and v in keep]
-    edges.extend((f[u], f[v]) for u, v in extra)
-    child_tree = SteinerTree(back, edges, f[tree.source])
+    # derived unchecked: `f` is not monotone, so order and sort as the constructor does
+    edges = [(a, b) if a < b else (b, a) for a, b in
+             ((f[u], f[v]) for u, v in chain(tree.edges, extra) if u in keep and v in keep)]
+    child_tree = SteinerTree._derived(tuple(sorted(back)), tuple(sorted(edges)), f[tree.source])
     stats = cfg.stats
-    supernodes = None
-    if stats is not None:
-        supernodes = frozenset(f[v] for v in cfg.supernodes) | cm.contracted_nodes
+    supernodes = (None if stats is None
+                  else frozenset(f[v] for v in cfg.supernodes) | cm.contracted_nodes)
     key = (rec, child_g, child_tree, supernodes)
     answer = cfg.cache.get(key) if k == 1 else None
     if answer is None:
@@ -376,7 +374,9 @@ def _child(rec, g: Graph, tree: SteinerTree, k: int, cuts: _MaskCuts, seed: str,
                          cuts.track_witnesses)
         # counted apart, so that every visit of a kept answer adds the same rows
         own = None if stats is None else RecursionStats()
-        rec(child_g, child_tree, k, view, seed, replace(cfg, stats=own, supernodes=supernodes))
+        live = None if stats is None else _live_edges(child_g, supernodes)
+        rec(child_g, child_tree, k, view, seed,
+            replace(cfg, stats=own, supernodes=supernodes, live_edges=live))
         answer = (_entries(view), own)
         if k == 1:
             cfg.cache[key] = answer
@@ -467,7 +467,7 @@ def _search(rec, g: Graph, tree: SteinerTree, k: int, cuts: CandidateCuts, rng,
     table = _MaskCuts(terminals, cuts.track_witnesses)
     # the leaf step chooses by these values
     table.values.update((t, cuts.values[t]) for t in terminals)
-    cfg = _Cfg(reps_coeff, stats, None if stats is None else frozenset())
+    cfg = _Cfg(reps_coeff, stats, None if stats is None else frozenset(), g.m)
     rec(g, tree, k, table, _seed_string(rng), cfg)
     for t, value, mask in _entries(table):
         if value < cuts.values[t]:
@@ -526,8 +526,8 @@ def _tree_body(g: Graph, tree: SteinerTree, k: int, cuts: _MaskCuts, seed: str,
     groups.extend(sides)
     if dec.forest:
         groups.append(dec.forest)
-    iso = _isolate(cfg, g, s, groups, cuts)
-    side_masks = [mask for _, mask in iso[first:first + len(sides)]]
+    iso = _isolate(cfg, g, groups, cuts)
+    side_masks = [mask for _, mask in iso[first - 1:first - 1 + len(sides)]]
 
     everything = (1 << g.n) - 1
     for j, (side, mask) in enumerate(zip(sides, side_masks), start=first - parts_at):
@@ -587,8 +587,8 @@ def _leaf_body(g: Graph, tree: SteinerTree, k: int, cuts: _MaskCuts, seed: str,
     groups.extend(sides)
     if own_branch:
         groups.append(own_branch)
-    iso = _isolate(cfg, g, s, groups, cuts)
-    side_masks = [mask for _, mask in iso[2:2 + len(sides)]]
+    iso = _isolate(cfg, g, groups, cuts)
+    side_masks = [mask for _, mask in iso[1:1 + len(sides)]]
 
     # Source-branch child at the same budget: the centroid and the side
     # regions collapse into a single node hanging off the branch, free to

@@ -550,7 +550,7 @@ def test_children_are_contracted_once_per_call(monkeypatch):
     g = generate("erdos-renyi-weighted", 70, seed=70)
     tr = random_spanning_tree(g, 0, random.Random("memo|70"))
     real_contract, real_child = treemincuts.contract, treemincuts._child
-    wrapped = ("isolating_cuts", "max_flow", "max_flow_multi")
+    wrapped = ("_isolating_cuts", "max_flow", "max_flow_multi")
     real = {name: getattr(treemincuts, name) for name in wrapped}
     outputs = []
     for stats in (None, RecursionStats()):
@@ -586,7 +586,7 @@ def test_children_are_contracted_once_per_call(monkeypatch):
         assert children[0] > len(pairs) > 0
         for name in wrapped:
             assert any(c[0] == name for c in calls), name
-        assert {c[0] for c in calls if c[1] == g.n} == {"isolating_cuts", "max_flow_multi"}
+        assert {c[0] for c in calls if c[1] == g.n} == {"_isolating_cuts", "max_flow_multi"}
         outputs.append((cuts.values, cuts.witnesses))
     assert outputs[0] == outputs[1]
 

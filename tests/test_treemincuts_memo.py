@@ -144,4 +144,4 @@ def test_the_memo_keeps_sides_as_masks(monkeypatch, track):
             assert type(value) is (tuple if track else int)
     # every kind of entry was there to be checked
     assert set(kinds) == {treemincuts._quotient, treemincuts.max_flow, treemincuts.max_flow_multi,
-                          treemincuts.isolating_cuts, treemincuts._tree_rec, treemincuts._leaf_rec}
+                          treemincuts._isolating_cuts, treemincuts._tree_rec, treemincuts._leaf_rec}
