@@ -1,4 +1,5 @@
-"""Exact s-t maximum flow / minimum cut via blocking flows (Dinic).
+"""Exact s-t maximum flow / minimum cut by shortest augmenting paths
+(Edmonds-Karp), pushed in batches along the search's own trees.
 
 A graph is stored as its residual arcs (see `Graph`): undirected edge i
 is arcs 2i and 2i+1, mutual reverses, both starting at the edge weight.
@@ -11,29 +12,37 @@ per-call view of the graph's arcs (`_merged_flow`): each set is merged into
 its smallest vertex by copying only the arc heads and the adjacency lists,
 so the cut comes back in the graph's ids.
 
-Each phase's levels come from one search grown from both terminals
-(`_levels`), a level at a time on the side whose frontier is smaller, as
-Boykov and Kolmogorov's min-cut solver grows its two search trees (IEEE
-TPAMI 2004).  It stops at the level where the two sides meet, so it scans
-the arcs near either terminal rather than every arc closer to the source
-than the sink is.  Every vertex on a shortest augmenting path gets its
-distance from the source as its level; the vertices the search can show
-to lie on none get level -1, and the DFS never enters them.  A push only
-adds residual capacity on arcs that go down a level, so no vertex gains a
-way on within the phase.  A vertex off every shortest path is a dead end
-whatever its level, so the DFS finds the same augmenting paths, in the
-same order, as over a plain BFS's levels, and the solve takes the same
-phases.  After an augmentation the DFS resumes from the first arc the push
-saturated rather than from the source.
-The search that finds the sink out of reach ends the solve.  When the
-sink's side runs out first, the source's side is searched to the end, so
-either way that search has labelled exactly the vertices the source can
-reach in the final residual network.  It returns them as a list, built a
-level at a time, and the reported sink side is the rest of the n vertex
-ids: one set difference in C, with no Python pass over all n vertices.
-The side's complement is the unique minimal source side among minimum
-cuts, so the side does not depend on which maximum flow the solve found,
-nor on the order of the arcs or on parallel ones.
+Each search (`_levels`) grows two trees, one from each terminal, a level
+at a time on the side whose frontier is smaller, as Boykov and
+Kolmogorov's min-cut solver does (IEEE TPAMI 2004).  Every vertex keeps
+the tree arc by which it was labelled.  The search stops at the level
+where the two sides meet and returns every meeting arc, so it scans the
+arcs near either terminal rather than every arc closer to the source than
+the sink is.  Each meeting arc runs from the frontier being expanded into
+the other side's frontier, which has not been expanded yet: a vertex of
+an expanded level would have labelled the arc's far end, or met it, when
+that level was expanded.  So the tree path through any meeting arc is a
+shortest augmenting path.  The solve (`_dinic`) walks each one in turn
+and pushes its bottleneck if every arc on it still has capacity, and
+skips it otherwise, then searches again.  The first path always goes
+through, and pushing along shortest paths never shortens the s-t
+distance, so every push is along a shortest augmenting path and
+Edmonds and Karp's O(nm) bound on augmentations holds.  The solve and the
+search keep the names of the Dinic solver they replaced, `_dinic` and
+`_levels`, which the tests wrap to count solves and searches.
+
+The solve ends in one of two ways.  Once the flow equals the capacity
+out of the source, every arc out of s is saturated, so s reaches nothing
+and the sink side is every other vertex, with no search to show it.
+Otherwise the search that finds the sink out of reach ends the solve.
+When the sink's side runs out first, the source's side is searched to the
+end, so either way that search has labelled exactly the vertices the
+source can reach in the final residual network.  It returns them as a
+list, built a level at a time, and the reported sink side is the rest of
+the n vertex ids: one set difference in C, with no Python pass over all n
+vertices.  The side's complement is the unique minimal source side among
+minimum cuts, so the side does not depend on which maximum flow the solve
+found, nor on the order of the arcs or on parallel ones.
 """
 from __future__ import annotations
 
@@ -52,152 +61,130 @@ class FlowResult:
 
 
 def _levels(to: Sequence[int], adj: Sequence[Sequence[int]], cap: list[int], s: int,
-            t: int) -> tuple[list[int], list[int] | None]:
-    """Levels of one phase, searched from both terminals, plus the vertices
-    s can reach when t is out of reach (None when it is not).
+            t: int) -> tuple[list, list[int] | None]:
+    """One search for shortest augmenting paths, grown from both terminals.
+
+    Returns `(par, meets)` when the two sides meet, and `(reached, None)`
+    when t is out of reach, `reached` listing every vertex s can reach.
 
     Each step expands one level of the smaller frontier: from s along
-    residual arcs, or from t backwards along residual arcs into it.  The
-    sink side is labelled -2 - (distance to t) while the search runs.  The
-    first step that finds a residual arc from a source-side vertex into a
-    sink-side one finds every such arc, all of them from the source
-    frontier (at distance a from s) into the sink frontier (at distance b
-    from t), and fixes the s-t distance at D = a + b + 1.  The sink side
-    then takes level D - (distance to t), so every vertex on a shortest
-    path has its distance from s as its level.  Two kinds of vertex that
-    lie on none get level -1: the labels this last step made beyond the
-    frontier it expanded, and the source frontier's vertices with no arc
-    into the sink side.  A sink-frontier vertex with no arc from the source
-    frontier lies on none either, but needs no hiding, since nothing at
-    level a has an arc into it.  Every sink-side vertex has a residual path
-    to t.
+    residual arcs, or from t backwards along residual arcs into it.
+    `par[v]` is None for a vertex not yet labelled.  On the source side it
+    is the residual arc into v from the level before; on the sink side it
+    is `~e` for the arc e scanned out of the level before, whose reverse
+    `e ^ 1` is the residual arc from v toward t.  `par[s]` and `par[t]`
+    only mark the sides (0 and ~0) and are never followed.  The first step
+    that finds a residual arc from a source-side vertex into a sink-side
+    one finishes its level and returns every such arc as `meets`, each
+    from the source frontier into the sink frontier; the tree paths
+    through them are the shortest augmenting paths that the trees hold.
 
     When the sink side runs out first, no source-side vertex can reach it,
-    and the source side's search goes on alone until it runs out too.
-    Either way the search ends with every vertex s can reach labelled, and
-    `reached`, which is [s] plus each source level's new vertices, lists
-    them all.
+    and the source side's search goes on alone until it runs out too.  It
+    ends with every vertex s can reach labelled, and `reached`, which is
+    [s] plus each source level's new vertices, lists them all.
     """
-    level = [-1] * len(adj)
-    level[s] = 0
-    level[t] = -2
+    par: list = [None] * len(adj)
+    par[s] = 0
+    par[t] = ~0
     front, back = [s], [t]
-    a = b = 0
-    sink = [t]
     reached = [s]
     while True:
         if back and len(back) < len(front):
             # expand the sink side: residual arcs into the sink frontier
-            nxt, joined = [], []
-            lb = -3 - b
+            nxt, meets = [], []
             for v in back:
                 for e in adj[v]:
                     if cap[e ^ 1]:
                         u = to[e]
-                        lu = level[u]
-                        if lu == -1:
-                            level[u] = lb
+                        p = par[u]
+                        if p is None:
+                            par[u] = ~e
                             nxt.append(u)
-                        elif lu >= 0:
-                            joined.append(u)
-            if joined:
-                break
+                        elif p >= 0:
+                            meets.append(e ^ 1)
+            if meets:
+                return par, meets
             back = nxt
-            sink += nxt
-            b += 1
         elif front:
             # expand the source side: residual arcs out of its frontier
-            nxt, joined = [], []
-            la = a + 1
+            nxt, meets = [], []
             for u in front:
-                hit = False
                 for e in adj[u]:
                     if cap[e]:
                         v = to[e]
-                        lv = level[v]
-                        if lv == -1:
-                            level[v] = la
+                        p = par[v]
+                        if p is None:
+                            par[v] = e
                             nxt.append(v)
-                        elif lv < -1:
-                            hit = True
-                if hit:
-                    joined.append(u)
-            if joined:
-                break
+                        elif p < 0:
+                            meets.append(e)
+            if meets:
+                return par, meets
             front = nxt
             reached += nxt
-            a += 1
         else:
-            return level, reached
-    # the sides met at distance D = a + b + 1: hide what lies on no
-    # shortest path, and give the sink side level D - (distance to t)
-    for v in nxt:
-        level[v] = -1
-    for u in front:
-        level[u] = -1
-    for u in joined:
-        level[u] = a
-    top = a + b + 3  # D + 2
-    for v in sink:
-        level[v] += top
-    return level, None
+            return reached, None
 
 
 def _dinic(to: Sequence[int], adj: Sequence[Sequence[int]], cap0: Sequence[int], s: int,
            t: int) -> tuple[int, list[int]]:
     """Max-flow value plus the vertices the source reaches in the final
-    residual network, as the last level search listed them.
+    residual network: [s] alone once the arcs out of s are saturated, and
+    otherwise as the last search listed them.
 
-    The arcs are a graph's (see `Graph`) or a view of them; `cap0` is
-    copied, and no argument is written.  Every vertex not in the list is on
-    the sink side.
+    Each search's meeting arcs are augmented through in the order the
+    search found them, each along its tree path to s and to t.  The arcs
+    are a graph's (see `Graph`) or a view of them; `cap0` is copied, and no
+    argument is written.  Every vertex not in the list is on the sink side.
     """
-    n = len(adj)
     cap = list(cap0)
+    # the flow out of s is `room` less the capacity left on adj[s], so at
+    # flow == room every arc out of s is saturated and s reaches nothing:
+    # the solve ends with [s], the merged node alone in a view, whose other
+    # members the caller adds by name.  A source without arcs makes no search
+    room = sum(map(cap0.__getitem__, adj[s]))
     flow = 0
-    while True:
-        level, reached = _levels(to, adj, cap, s, t)
-        if reached is not None:
-            return flow, reached
-        it = [0] * n
-        path: list[int] = []
-        v = s
-        while True:
-            if v == t:
-                bott = cap[path[0]]
-                for a in path:
-                    if cap[a] < bott:
-                        bott = cap[a]
-                for a in path:
-                    cap[a] -= bott
-                    cap[a ^ 1] += bott
-                flow += bott
-                # resume from the tail of the first arc the push saturated
-                k = 0
-                while cap[path[k]]:
-                    k += 1
-                v = to[path[k] ^ 1]
-                del path[k:]
+    while flow < room:
+        par, meets = _levels(to, adj, cap, s, t)
+        if meets is None:
+            return flow, par
+        for e in meets:
+            bott = cap[e]
+            if not bott:
                 continue
-            arcs = adj[v]
-            i = it[v]
-            na = len(arcs)
-            lv = level[v] + 1
-            while i < na:
-                a = arcs[i]
-                if cap[a] and level[to[a]] == lv:
+            # walk the tree path through e to s, then to t, and skip e if an
+            # earlier push saturated an arc on it
+            path = [e]
+            u = to[e ^ 1]
+            while u != s:
+                a = par[u]
+                c = cap[a]
+                if not c:
                     break
-                i += 1
-            it[v] = i
-            if i < na:
+                if c < bott:
+                    bott = c
                 path.append(a)
-                v = to[a]
-            elif v == s:
-                break
+                u = to[a ^ 1]
             else:
-                level[v] = -1  # dead end inside this phase
-                v = to[path.pop() ^ 1]
-                it[v] += 1
+                v = to[e]
+                while v != t:
+                    a = ~par[v] ^ 1
+                    c = cap[a]
+                    if not c:
+                        break
+                    if c < bott:
+                        bott = c
+                    path.append(a)
+                    v = to[a]
+                else:
+                    for a in path:
+                        cap[a] -= bott
+                        cap[a ^ 1] += bott
+                    flow += bott
+                    if flow == room:
+                        break
+    return flow, [s]
 
 
 def max_flow(g: Graph, s: int, t: int) -> FlowResult:
@@ -222,7 +209,9 @@ def _merged_flow(g: Graph, sources: Collection[int], sinks: Collection[int]) -> 
     order a graph built from the merged edges would list them in.  The
     other members get no arcs and no arc points to them, so the search
     never reaches them: a source member goes to the source side by name,
-    and a sink member stays on the sink side.  Arcs inside a set are left
+    and a sink member stays on the sink side.  So a solve that saturates
+    the source set's arcs out, and lists the merged node alone, still
+    reports the whole set on the source side.  Arcs inside a set are left
     out, as self-loops would be.  The graph is never written.
     """
     to, adj = list(g.to), list(g.adj)

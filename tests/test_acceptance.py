@@ -54,10 +54,13 @@ def _random_connected(rng, n, lo=1, hi=10):
 
 
 def test_criterion_1_maxflow_exact_on_500_random_graphs(monkeypatch):
-    # the solve's cost is pinned by its count of level searches, which does
-    # not drift with the machine's speed as a wall-clock bound would: each
-    # phase raises the s-t distance, which is at most n-1, so a flow makes
-    # at most n searches, the last one finding t out of reach
+    # the solve's cost is pinned by its count of searches, which does not
+    # drift with the machine's speed as a wall-clock bound would.  Every
+    # path the solver pushes is a shortest augmenting path, and each search
+    # pushes at least one, so Edmonds and Karp's bound of O(nm)
+    # augmentations bounds the searches too.  No theorem caps them at n, as
+    # Dinic's rising s-t distance did; n is a checked work bound that these
+    # small graphs stay within
     searches = 0
     levels = ghcut.maxflow._levels
 
@@ -81,7 +84,7 @@ def test_criterion_1_maxflow_exact_on_500_random_graphs(monkeypatch):
         want = brute_min_cut(g, s, t).value
         assert got == want, (i, s, t, got, want)
     elapsed = time.perf_counter() - start
-    print(f"criterion 1: PASS  500/500 exact, at most {most} level searches "
+    print(f"criterion 1: PASS  500/500 exact, at most {most} searches "
           f"per flow, in {elapsed:.2f}s")
 
 

@@ -1,6 +1,6 @@
 """Golden outputs of the flow solver under fixed seeds.
 
-Every flow in the package runs through one Dinic solver, and the reported
+Every flow in the package runs through one max-flow solver, and the reported
 sides are the canonical ones (see `maxflow`), so a change to the solver
 that claims the same outputs must reproduce these digests exactly:
 
@@ -9,10 +9,13 @@ that claims the same outputs must reproduce these digests exactly:
   benchmark builds on;
 - `(value, sorted sink side)` of seeded `max_flow`, `max_flow_multi` and
   `isolating_cuts` solves on random graphs with weights up to 1000;
-- the number of level searches (Dinic phases, plus the last search that
-  finds the sink out of reach) of every solve in both batteries.  Each
-  search must find every shortest augmenting path: one that left a path
-  out would take more phases, which the outputs alone would not show.
+- the number of searches of every solve in both batteries: one per batch
+  of augmentations, plus the last search that finds the sink out of reach,
+  which a solve that saturates the arcs out of its source does without.
+  Every path the solver pushes must be a shortest augmenting path, and
+  each search must push at least one: a solver that pushed longer paths,
+  or fewer of the shortest ones per search, would take more searches,
+  which the outputs alone would not show.
 
 The digests are sha256 over canonical JSON.
 """
@@ -35,12 +38,14 @@ GUSFIELD_BATTERY = (
 
 GUSFIELD_DIGEST = "96889994e9ee1c9254cce1346a91bdc4aae43c399991fb09fd718516087ce02c"
 FLOW_DIGEST = "7bd7fc77da4732946115a38053f796bf6771a8fea1929d30dd37bb3be5e67c8f"
-# level searches per solve, in solve order over both batteries: the list
-# of 4644 solves and 16552 searches made when every isolating group ran a
-# flow, less the 625 solves (1103 searches) of groups whose region is the
-# group, which now run none
-SOLVES, SEARCHES = 4019, 15449
-SEARCHES_DIGEST = "15d8de43f489acea5c41df68ff870d82ece57da88a56a18bf9e5c3d9e154d7d5"
+# searches per solve, in solve order over both batteries.  Dinic's solver
+# made 15449: a level search per phase, each followed by a DFS for its
+# blocking flow, and a last search that found the sink out of reach.
+# Augmenting along each search's own trees, and stopping without a search
+# once the arcs out of the source are saturated (109 of these solves have
+# a source without arcs, and make no search at all), makes 14382
+SOLVES, SEARCHES = 4019, 14382
+SEARCHES_DIGEST = "eacdfefa46ec878c203f8f2ccf278f4bf6cd58b1b150dc55b933b9453cd28f94"
 
 
 def digest(obj):

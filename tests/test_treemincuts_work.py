@@ -2,7 +2,7 @@
 
 A refactor of the recursion or its memo must find the same cuts
 (`tests/test_treemincuts_golden.py`) and must do so with the same work:
-the same Dinic solves and level searches, the same hits and misses of
+the same flow solves and searches, the same hits and misses of
 each memo kind, and the same `_child` calls, `decompose` calls and
 `SteinerTree` builds, checked and derived.  A change that adds or removes
 work fails here, under a name that says so, and declares its new figures.
@@ -73,9 +73,11 @@ def count_work(monkeypatch, search):
 # `_child`, `decompose` and every memo hit and miss stay.  Every tree the
 # search builds is derived from a checked one without the constructor's
 # checks, so the 1,371 builds are all `_derived` and none is checked.
+# Augmenting along each search's own trees, and stopping once the arcs out
+# of the source are saturated, took level searches from 7,261 to 7,245.
 WORK = {
     "solves": 2056,
-    "level_searches": 7261,
+    "level_searches": 7245,
     "children": 908,
     "decompositions": 316,
     "trees": 0,
